@@ -48,8 +48,10 @@ def out_hw(h: int, w: int, kh: int, kw: int, stride: tuple[int, int],
 def _pad_nchw(x: np.ndarray, ph: int, pw: int, value: float = 0.0) -> np.ndarray:
     if ph == 0 and pw == 0:
         return x
-    return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)),
-                  mode="constant", constant_values=value)
+    n, c, h, w = x.shape
+    xp = np.full((n, c, h + 2 * ph, w + 2 * pw), value, dtype=x.dtype)
+    xp[:, :, ph:ph + h, pw:pw + w] = x
+    return xp
 
 
 def _windows(x: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
@@ -122,40 +124,44 @@ def _conv2d_im2col(x: np.ndarray, weight: np.ndarray, stride, padding) -> np.nda
     return launch("gemm", gemm, cols, weight)
 
 
-# Winograd F(2x2, 3x3) transform matrices.
+# Winograd F(2x2, 3x3) transform matrices (Lavin & Gray, arXiv:1509.09308).
 _WINO_BT = np.array([[1, 0, -1, 0], [0, 1, 1, 0], [0, -1, 1, 0], [0, 1, 0, -1]],
                     dtype=np.float64)
 _WINO_G = np.array([[1, 0, 0], [0.5, 0.5, 0.5], [0.5, -0.5, 0.5], [0, 0, 1]],
                    dtype=np.float64)
 _WINO_AT = np.array([[1, 1, 1, 0], [0, 1, -1, -1]], dtype=np.float64)
+# Two-sided transforms as one GEMM over row-major flattened tiles:
+# vec(B^T d B) = kron(B^T, B^T) vec(d), and likewise for G and A^T.
+_WINO_KRON = (np.kron(_WINO_BT, _WINO_BT),   # 16 x 16
+              np.kron(_WINO_G, _WINO_G),     # 16 x 9
+              np.kron(_WINO_AT, _WINO_AT))   # 4 x 16
 
 
 def _conv2d_winograd(x: np.ndarray, weight: np.ndarray, padding) -> np.ndarray:
-    """Winograd F(2x2, 3x3) for stride-1 3x3 convolutions."""
+    """Winograd F(2x2, 3x3) for stride-1 3x3 convolutions, in GEMM form."""
     n, c, h, w = x.shape
     o = weight.shape[0]
     ph, pw = padding
     oh, ow = h + 2 * ph - 2, w + 2 * pw - 2
-    # pad output dims up to multiples of 2 (tile size)
-    oh_pad, ow_pad = -(-oh // 2) * 2, -(-ow // 2) * 2
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph + oh_pad - oh), (pw, pw + ow_pad - ow)))
-    th, tw = oh_pad // 2, ow_pad // 2  # tiles per dim
-
-    # gather 4x4 input tiles with stride 2: (N, C, th, tw, 4, 4)
-    tiles = sliding_window_view(xp, (4, 4), axis=(2, 3))[:, :, ::2, ::2]
+    th, tw = -(-oh // 2), -(-ow // 2)  # 2x2 output tiles per dim
     dtype = x.dtype
-    bt, g, at = (_WINO_BT.astype(dtype), _WINO_G.astype(dtype),
-                 _WINO_AT.astype(dtype))
-    # input transform: B^T d B
-    v = np.einsum("ij,ncxyjk,lk->ncxyil", bt, tiles, bt, optimize=True)
-    # filter transform: G g G^T
-    u = np.einsum("ij,ocjk,lk->ocil", g, weight.astype(dtype), g, optimize=True)
-    # elementwise multiply + channel reduce
-    m = np.einsum("ocil,ncxyil->noxyil", u, v, optimize=True)
-    # output transform: A^T m A
-    y = np.einsum("ij,noxyjk,lk->noxyil", at, m, at, optimize=True)
-    # scatter 2x2 tiles back: (N, O, th, tw, 2, 2) -> (N, O, oh_pad, ow_pad)
-    out = y.transpose(0, 1, 2, 4, 3, 5).reshape(n, o, oh_pad, ow_pad)
+    kb, kg, ka = (m.astype(dtype, copy=False) for m in _WINO_KRON)
+    # zero-pad, plus one extra row/column when the output size is odd
+    xp = np.zeros((n, c, 2 * th + 2, 2 * tw + 2), dtype=dtype)
+    xp[:, :, ph:ph + h, pw:pw + w] = x
+    # gather overlapping 4x4 input tiles with stride 2: (16, N*th*tw*C)
+    tiles = sliding_window_view(xp, (4, 4), axis=(2, 3))[:, :, ::2, ::2]
+    d = tiles.transpose(4, 5, 0, 2, 3, 1).reshape(16, n * th * tw * c)
+    # input transform B^T d B: (16, N*th*tw, C)
+    v = (kb @ d).reshape(16, n * th * tw, c)
+    # filter transform G g G^T: (16, C, O)
+    g = weight.astype(dtype, copy=False).transpose(2, 3, 1, 0).reshape(9, c * o)
+    u = (kg @ g).reshape(16, c, o)
+    # channel reduction, one GEMM per tile position: (16, N*th*tw, O)
+    m = v @ u
+    # output transform A^T m A, then scatter the 2x2 tiles back
+    y = (ka @ m.reshape(16, -1)).reshape(2, 2, n, th, tw, o)
+    out = y.transpose(2, 5, 3, 0, 4, 1).reshape(n, o, 2 * th, 2 * tw)
     return np.ascontiguousarray(out[:, :, :oh, :ow])
 
 
@@ -214,14 +220,26 @@ def conv2d_backward_weight(grad_out: np.ndarray, x: np.ndarray, w_shape,
 # pooling
 # ---------------------------------------------------------------------------
 
+def _window_slices(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int):
+    """The kh*kw strided (N, C, OH, OW) slices of a padded NCHW array, one
+    per window offset; slice (i, j) holds element (i, j) of every window."""
+    oh = (xp.shape[2] - kh) // sh + 1
+    ow = (xp.shape[3] - kw) // sw + 1
+    return [xp[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw]
+            for i in range(kh) for j in range(kw)]
+
+
 def maxpool2d_forward(x, kernel=(2, 2), stride=None, padding=(0, 0)):
     kh, kw = kernel
     sh, sw = stride or kernel
 
     def body(x):
         xp = _pad_nchw(x, *padding, value=-np.inf)
-        wins = _windows(xp, kh, kw, sh, sw)
-        return wins.max(axis=(-2, -1))
+        first, *rest = _window_slices(xp, kh, kw, sh, sw)
+        out = first.copy()
+        for part in rest:
+            np.maximum(out, part, out=out)
+        return out
 
     return launch("maxpool2d", body, x)
 
@@ -257,8 +275,12 @@ def avgpool2d_forward(x, kernel=(2, 2), stride=None, padding=(0, 0)):
 
     def body(x):
         xp = _pad_nchw(x, *padding)
-        wins = _windows(xp, kh, kw, sh, sw)
-        return wins.mean(axis=(-2, -1))
+        first, *rest = _window_slices(xp, kh, kw, sh, sw)
+        out = first.copy()
+        for part in rest:
+            out += part
+        out /= kh * kw
+        return out
 
     return launch("avgpool2d", body, x)
 

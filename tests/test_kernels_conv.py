@@ -6,6 +6,7 @@ import pytest
 from scipy import signal
 
 from repro.kernels import nn as K
+from repro.kernels.runtime import runtime as kernel_runtime
 
 
 def reference_conv(x, w, stride, pad):
@@ -109,3 +110,59 @@ def test_fft_with_stride_subsamples(rng):
     got = K.conv2d_forward(x, w, (2, 2), (2, 2), algorithm="fft")
     want = K.conv2d_forward(x, w, (2, 2), (2, 2), algorithm="im2col")
     np.testing.assert_allclose(got, want, atol=1e-10)
+
+
+WINOGRAD_EDGE_CASES = [
+    # (x shape, output channels, padding)
+    ((1, 1, 1, 1), 1, (1, 1)),     # 1x1 spatial, N = C = O = 1
+    ((2, 3, 1, 1), 4, (2, 2)),
+    ((2, 3, 2, 2), 4, (1, 1)),     # 2x2 spatial
+    ((1, 2, 2, 2), 1, (2, 1)),
+    ((1, 4, 3, 3), 1, (0, 0)),     # one output pixel
+    ((1, 3, 5, 7), 2, (0, 0)),     # odd output in both dims
+    ((3, 1, 6, 5), 2, (0, 2)),
+    ((2, 2, 9, 8), 1, (2, 1)),
+]
+
+
+@pytest.mark.parametrize("x_shape,o,pad", WINOGRAD_EDGE_CASES)
+def test_winograd_edge_shapes_match_im2col(rng, x_shape, o, pad):
+    x = rng.standard_normal(x_shape)
+    w = rng.standard_normal((o, x_shape[1], 3, 3))
+    got = K.conv2d_forward(x, w, (1, 1), pad, algorithm="winograd")
+    want = K.conv2d_forward(x, w, (1, 1), pad, algorithm="im2col")
+    assert got.shape == want.shape
+    assert got.flags.c_contiguous
+    np.testing.assert_allclose(got, want, atol=1e-9)
+
+
+@pytest.mark.parametrize("pad", [(0, 0), (1, 1), (2, 2)])
+def test_winograd_accepts_non_contiguous_nchw_view(rng, pad):
+    # the graph backend hands kernels an NHWC -> NCHW transposed view
+    x = rng.standard_normal((2, 7, 6, 3)).transpose(0, 3, 1, 2)
+    assert not x.flags.c_contiguous
+    w = rng.standard_normal((4, 3, 3, 3))
+    got = K.conv2d_forward(x, w, (1, 1), pad, algorithm="winograd")
+    want = K.conv2d_forward(np.ascontiguousarray(x), w, (1, 1), pad,
+                            algorithm="im2col")
+    np.testing.assert_allclose(got, want, atol=1e-9)
+
+
+def test_winograd_keeps_float32(rng):
+    x = rng.standard_normal((2, 3, 6, 6)).astype(np.float32)
+    w = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
+    got = K.conv2d_forward(x, w, (1, 1), (1, 1), algorithm="winograd")
+    assert got.dtype == np.float32
+    want = K.conv2d_forward(x.astype(np.float64), w.astype(np.float64),
+                            (1, 1), (1, 1), algorithm="im2col")
+    np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-4)
+
+
+def test_winograd_emits_one_kernel_event(rng):
+    x = rng.standard_normal((2, 3, 8, 8))
+    w = rng.standard_normal((4, 3, 3, 3))
+    events = []
+    with kernel_runtime.capture(events):
+        out = K.conv2d_forward(x, w, (1, 1), (1, 1))
+    assert [e.name for e in events] == ["conv2d_winograd"]
+    assert events[0].bytes_accessed == x.nbytes + w.nbytes + out.nbytes

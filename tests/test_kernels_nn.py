@@ -3,8 +3,85 @@
 import numpy as np
 import pytest
 
+from numpy.lib.stride_tricks import sliding_window_view
+
 from repro.kernels import nn as K
+from repro.kernels.runtime import runtime as kernel_runtime
 from tests.conftest import numeric_gradient
+
+
+def reference_pool(x, kernel, stride=None, padding=(0, 0), reduce="max"):
+    """Pooling as a reduction over a strided window view of the padded input."""
+    kh, kw = kernel
+    sh, sw = stride or kernel
+    ph, pw = padding
+    value = -np.inf if reduce == "max" else 0.0
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)),
+                constant_values=value)
+    wins = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
+    return getattr(wins, reduce)(axis=(-2, -1))
+
+
+POOL_CASES = [
+    # (x shape, kernel, stride, padding)
+    ((2, 3, 8, 8), (3, 3), (1, 1), (1, 1)),
+    ((2, 3, 9, 7), (3, 3), (2, 2), (1, 1)),   # stride != kernel
+    ((1, 2, 8, 8), (2, 2), None, (0, 0)),     # stride defaults to kernel
+    ((1, 2, 7, 9), (3, 2), (1, 3), (1, 0)),
+    ((2, 1, 5, 5), (3, 3), (3, 3), (2, 2)),   # corner windows mostly padding
+]
+
+
+class TestPoolingAgainstWindowReference:
+    @pytest.mark.parametrize("x_shape,kernel,stride,pad", POOL_CASES)
+    def test_maxpool(self, rng, x_shape, kernel, stride, pad):
+        x = rng.standard_normal(x_shape)
+        got = K.maxpool2d_forward(x, kernel, stride, pad)
+        np.testing.assert_array_equal(
+            got, reference_pool(x, kernel, stride, pad, "max"))
+
+    @pytest.mark.parametrize("x_shape,kernel,stride,pad", POOL_CASES)
+    def test_avgpool(self, rng, x_shape, kernel, stride, pad):
+        x = rng.standard_normal(x_shape)
+        got = K.avgpool2d_forward(x, kernel, stride, pad)
+        # padded cells count as zeros: the divisor is always kh * kw
+        np.testing.assert_allclose(
+            got, reference_pool(x, kernel, stride, pad, "mean"), rtol=1e-12)
+
+    @pytest.mark.parametrize("x_shape,kernel,stride,pad", POOL_CASES)
+    def test_padding_never_wins_the_max(self, rng, x_shape, kernel, stride,
+                                        pad):
+        x = -np.abs(rng.standard_normal(x_shape)) - 1e6
+        got = K.maxpool2d_forward(x, kernel, stride, pad)
+        assert np.isfinite(got).all()
+        np.testing.assert_array_equal(
+            got, reference_pool(x, kernel, stride, pad, "max"))
+
+    @pytest.mark.parametrize("pad", [(0, 0), (1, 1)])
+    def test_tied_inputs(self, pad):
+        x = np.full((2, 3, 6, 6), 0.75)
+        np.testing.assert_array_equal(
+            K.maxpool2d_forward(x, (3, 3), (1, 1), pad), 0.75)
+        np.testing.assert_allclose(
+            K.avgpool2d_forward(x, (3, 3), (1, 1), pad),
+            reference_pool(x, (3, 3), (1, 1), pad, "mean"), rtol=1e-12)
+
+    def test_float32_stays_float32(self, rng):
+        x = rng.standard_normal((1, 2, 6, 6)).astype(np.float32)
+        assert K.maxpool2d_forward(x, (3, 3), (1, 1), (1, 1)).dtype == \
+            np.float32
+        assert K.avgpool2d_forward(x, (3, 3), (1, 1), (1, 1)).dtype == \
+            np.float32
+
+    @pytest.mark.parametrize("kind", ["maxpool2d", "avgpool2d"])
+    def test_one_launch_per_call(self, rng, kind):
+        x = rng.standard_normal((2, 3, 8, 8))
+        forward = getattr(K, f"{kind}_forward")
+        events = []
+        with kernel_runtime.capture(events):
+            out = forward(x, (3, 3), (2, 2), (1, 1))
+        assert [e.name for e in events] == [kind]
+        assert events[0].bytes_accessed == x.nbytes + out.nbytes
 
 
 class TestPooling:

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.kernels import nn as K
+from tests.test_kernels_nn import reference_pool
 
 
 @settings(max_examples=40, deadline=None)
@@ -13,13 +14,20 @@ from repro.kernels import nn as K
     n=st.integers(1, 3),
     c=st.integers(1, 3),
     o=st.integers(1, 3),
-    size=st.integers(5, 10),
+    height=st.integers(1, 10),
+    width=st.integers(1, 10),
     pad=st.integers(0, 2),
+    nhwc_view=st.booleans(),
     seed=st.integers(0, 10_000),
 )
-def test_winograd_equals_im2col_everywhere(n, c, o, size, pad, seed):
+def test_winograd_equals_im2col_everywhere(n, c, o, height, width, pad,
+                                           nhwc_view, seed):
+    assume(min(height, width) + 2 * pad >= 3)
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, c, size, size))
+    if nhwc_view:  # the layout the graph backend passes: a transposed view
+        x = rng.standard_normal((n, height, width, c)).transpose(0, 3, 1, 2)
+    else:
+        x = rng.standard_normal((n, c, height, width))
     w = rng.standard_normal((o, c, 3, 3))
     winograd = K.conv2d_forward(x, w, (1, 1), (pad, pad), algorithm="winograd")
     im2col = K.conv2d_forward(x, w, (1, 1), (pad, pad), algorithm="im2col")
@@ -60,6 +68,29 @@ def test_maxpool_output_is_window_max(size, kernel, seed):
             window = x[0, 0, i * kernel:(i + 1) * kernel,
                        j * kernel:(j + 1) * kernel]
             assert out[0, 0, i, j] == window.max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    size=st.integers(1, 9),
+    kernel=st.integers(1, 4),
+    stride=st.integers(1, 3),
+    pad=st.integers(0, 2),
+    tied=st.booleans(),
+    seed=st.integers(0, 10_000),
+)
+def test_pooling_equals_window_reference(size, kernel, stride, pad, tied,
+                                         seed):
+    assume(size + 2 * pad >= kernel and pad < kernel)
+    rng = np.random.default_rng(seed)
+    x = (np.full((2, 3, size, size), -1.5) if tied
+         else rng.standard_normal((2, 3, size, size)))
+    args = ((kernel, kernel), (stride, stride), (pad, pad))
+    np.testing.assert_array_equal(K.maxpool2d_forward(x, *args),
+                                  reference_pool(x, *args, reduce="max"))
+    np.testing.assert_allclose(K.avgpool2d_forward(x, *args),
+                               reference_pool(x, *args, reduce="mean"),
+                               rtol=1e-12, atol=1e-15)
 
 
 @settings(max_examples=40, deadline=None)
