@@ -2,7 +2,7 @@
 
 Symbolic capture (``repro.capture``) traces an eager module into the graph
 IR and replays calls through the compiled ``Session`` — plan cache, slot
-table, arena-ready executor.  This benchmark runs the *same* module (same
+table, slot-table executor.  This benchmark runs the *same* module (same
 parameter buffers, same kernels) through plain eager dispatch, through its
 captured wrapper, and — as the graph-driver reference — through a raw
 ``Session.run`` of the very graph the capture produced, isolating

@@ -1,23 +1,20 @@
-"""A/B: effect-directed serialization vs the all-or-nothing serial fallback.
+"""A/B: effect-directed serialization vs whole-plan serial execution.
 
 The race detector's value proposition: a plan with *one* genuinely
 conflicting op pair should not lose the wavefront executor for the whole
 plan.  We take InceptionV3 in training mode (every variable has an optimizer
 writer — the case the old executor always bailed out of) and inject one
 extra variable writer so the plan carries exactly one write-write pair, then
-run three modes:
+run two modes:
 
-* **serial** — workers=1, the ground-truth baseline;
-* **fallback** — workers=4 with ``AMANDA_EFFECT_ANALYSIS=0``: the legacy
-  whole-plan classifier sees a variable-store writer and degrades the entire
-  plan to serial;
-* **effect-directed** — workers=4 with the race analysis on: only the
-  injected pair is serialized, the rest of the plan runs wavefronted.
+* **serial** — workers=1, the ground-truth baseline, and what an
+  all-or-nothing classifier would fall back to for the whole plan;
+* **effect-directed** — workers=4 with the race analysis: only the injected
+  pair is serialized, the rest of the plan runs wavefronted.
 
-Claims backed by numbers: all three modes produce bit-identical loss
-trajectories and final variable state; the fallback mode shows no speedup
-over serial; the effect-directed mode parallelizes (and on a >=4-CPU host
-beats the fallback by >=1.3x wall clock).
+Claims backed by numbers: both modes produce bit-identical loss trajectories
+and final variable state; the effect-directed mode parallelizes (and on a
+>=4-CPU host beats serial by >=1.3x wall clock).
 
 Runs under pytest (``--benchmark-only``) or directly::
 
@@ -56,7 +53,7 @@ def build_with_injected_writer():
     return gm, target
 
 
-def run_mode(workers, effect_analysis_on):
+def run_mode(workers):
     rng = np.random.default_rng(0)
     gm, target = build_with_injected_writer()
     sess = gm.session()
@@ -68,8 +65,7 @@ def run_mode(workers, effect_analysis_on):
     def step():
         return np.asarray(sess.run(fetches, feed)[0])
 
-    with amanda.num_workers(workers), \
-            amanda.effect_analysis(effect_analysis_on):
+    with amanda.num_workers(workers):
         losses = [step() for _ in range(3)]
         seconds = wall_time(step, repeats=REPEATS)
         final_var = np.array(gm.graph.variables.read(target))
@@ -80,17 +76,12 @@ def run_mode(workers, effect_analysis_on):
 
 
 def run_all():
-    return {"serial": run_mode(1, True),
-            "fallback": run_mode(4, False),
-            "effect-directed": run_mode(4, True)}
+    return {"serial": run_mode(1), "effect-directed": run_mode(4)}
 
 
 def check_and_report(rows):
     serial = rows["serial"]
     assert not serial["parallel"]
-    fallback = rows["fallback"]
-    assert not fallback["parallel"]
-    assert "variable-store writer" in fallback["report"].fallback_reason
     directed = rows["effect-directed"]
     assert directed["parallel"], directed["report"].fallback_reason
     assert len(directed["report"].conflicts) == 1
@@ -98,17 +89,14 @@ def check_and_report(rows):
     assert conflict.kind == "write-write"
     assert "injected_writer" in (conflict.first, conflict.second)
 
-    for name in ("fallback", "effect-directed"):
-        np.testing.assert_array_equal(rows[name]["losses"], serial["losses"])
-        np.testing.assert_array_equal(rows[name]["final_var"],
-                                      serial["final_var"])
+    np.testing.assert_array_equal(directed["losses"], serial["losses"])
+    np.testing.assert_array_equal(directed["final_var"], serial["final_var"])
 
     lines = [f"InceptionV3 train {INPUT_SHAPE} + 1 injected variable "
              f"writer (one write-write pair), host_cpus={os.cpu_count()}",
              f"{'mode':<17} {'workers':>7} {'wall/iter':>11} {'speedup':>9} "
              f"{'executor':>10} {'serialized pairs':>17}"]
-    for name, workers in (("serial", 1), ("fallback", 4),
-                          ("effect-directed", 4)):
+    for name, workers in (("serial", 1), ("effect-directed", 4)):
         row = rows[name]
         lines.append(
             f"{name:<17} {workers:>7} {row['seconds'] * 1e3:>9.2f}ms "
@@ -119,9 +107,9 @@ def check_and_report(rows):
     report("effects_ab", lines)
 
     if (os.cpu_count() or 1) >= 4:
-        assert fallback["seconds"] / directed["seconds"] >= 1.3, (
-            f"expected effect-directed >=1.3x over fallback, got "
-            f"{fallback['seconds'] / directed['seconds']:.2f}x")
+        assert serial["seconds"] / directed["seconds"] >= 1.3, (
+            f"expected effect-directed >=1.3x over serial, got "
+            f"{serial['seconds'] / directed['seconds']:.2f}x")
 
 
 def test_effects_ab(benchmark):

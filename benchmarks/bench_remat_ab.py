@@ -1,4 +1,4 @@
-"""A/B: memory-budgeted execution (static rematerialization) vs arena reuse.
+"""A/B: memory-budgeted execution (static rematerialization) vs unbudgeted.
 
 The remat pass (``repro.analysis.remat``) compiles a keep-vs-recompute
 schedule whenever a plan's liveness bound exceeds ``amanda.memory_budget``;
@@ -6,14 +6,14 @@ the slot-table executor then re-runs evicted producers as extra slot
 entries.  This benchmark fixes a byte budget per model and asks the only
 question a budget exists to answer: **how large a training batch fits?**
 
-* **baseline** — unbudgeted execution with the buffer arena on (the repo's
-  existing memory-reuse mechanism: last-use releases, no recomputes);
-* **remat** — ``amanda.memory_budget(budget)`` execution (arena off, the
-  remat schedule's per-step frees drive the allocation tracker).
+* **baseline** — the default executor, unbudgeted: every intermediate is
+  freed at its last use, nothing is recomputed;
+* **remat** — ``amanda.memory_budget(budget)`` execution: the remat
+  schedule's evictions and per-step frees drive the allocation tracker.
 
 For each mode the max feasible batch is found by doubling then binary
-search, where *feasible* means the arena-tracked measured peak stays within
-the budget.  Raced on InceptionV3 and BERT training steps (forward +
+search, where *feasible* means the tracker-measured peak stays within the
+budget.  Raced on InceptionV3 and BERT training steps (forward +
 backward + in-place SGD updates):
 
 * **equivalence** — budgeted training is bit-identical to unbudgeted at
@@ -91,7 +91,7 @@ class BertCase(ModelCase):
                 RNG.integers(0, 2, (batch, 16)))
 
 
-def _run_step(case, batch, budget=None, arena=False, workers=1, steps=1):
+def _run_step(case, batch, budget=None, workers=1, steps=1):
     """Fresh model, ``steps`` training iterations; returns peak + schedule.
 
     ``first`` is the first step's wall time, which includes plan compile
@@ -102,8 +102,6 @@ def _run_step(case, batch, budget=None, arena=False, workers=1, steps=1):
     scopes = [amanda.num_workers(workers)]
     if budget is not None:
         scopes.append(amanda.memory_budget(budget))
-    if arena:
-        scopes.append(amanda.arena_reuse(True))
     losses = []
     with gm.session() as sess, contextlib.ExitStack() as stack:
         for scope in scopes:
@@ -133,8 +131,7 @@ def _max_feasible_batch(case, budget, budgeted):
     def fits(batch):
         if batch not in probe:
             result = _run_step(case, batch,
-                               budget=budget if budgeted else None,
-                               arena=not budgeted)
+                               budget=budget if budgeted else None)
             probe[batch] = result["peak"] <= budget
         return probe[batch]
 
@@ -158,8 +155,8 @@ def bench_case(case):
     # batch size: the most generous budget that still provably caps the
     # baseline at ref_batch, so every extra image the remat mode fits is
     # bought purely by recomputation
-    reference = _run_step(case, case.ref_batch, arena=True)
-    next_up = _run_step(case, case.ref_batch + 1, arena=True)
+    reference = _run_step(case, case.ref_batch)
+    next_up = _run_step(case, case.ref_batch + 1)
     budget = next_up["peak"] - 1
 
     base_max, _ = _max_feasible_batch(case, budget, budgeted=False)
@@ -182,8 +179,7 @@ def bench_case(case):
     # warm steps, with each session's compiling first step kept apart
     plain_runs, remat_runs = [], []
     for _ in range(ROUNDS):
-        plain_runs.append(_run_step(case, remat_max, arena=True,
-                                    steps=1 + WARM_STEPS))
+        plain_runs.append(_run_step(case, remat_max, steps=1 + WARM_STEPS))
         remat_runs.append(_run_step(case, remat_max, budget=budget,
                                     steps=1 + WARM_STEPS))
     return {
@@ -205,13 +201,13 @@ def check_and_report(results):
     lines = [f"host_cpus={os.cpu_count()}, rounds={ROUNDS}, "
              f"max probed batch={MAX_BATCH}, warm steps={WARM_STEPS}; "
              f"budget = one byte below the "
-             f"arena baseline's peak at ref_batch+1; feasible = "
+             f"baseline's peak at ref_batch+1; feasible = "
              f"tracker-measured peak <= budget; fetch=[loss, train_op]"]
     for r in results:
         sched = r["schedule"]
         ratio = r["remat_max"] / max(1, r["base_max"])
         lines.append(f"{r['name']}: budget {r['budget'] / 1e6:.2f} MB")
-        lines.append(f"  max feasible batch: baseline(arena) "
+        lines.append(f"  max feasible batch: baseline "
                      f"{r['base_max']}, remat {r['remat_max']} "
                      f"({ratio:.2f}x)")
         lines.append(f"  remat peak at batch {r['remat_max']}: "

@@ -12,7 +12,7 @@ over the DNN graph.
 Two schedule modes mirror the session's two executors:
 
 * ``schedule_mode="serial"`` (default) frees each intermediate right after
-  its last consuming *op* — the classic estimate;
+  its last consuming *op*, which is what the serial executor does;
 * ``schedule_mode="wavefront"`` partitions the plan with
   :func:`repro.graph.core.plan_levels` — including the serialization edges
   the race analysis (:mod:`repro.analysis.effects`) injects between
@@ -67,13 +67,6 @@ class LivenessReport:
     peak_op: str | None = None
     #: ops whose output shapes could not be inferred (counted as 0 bytes)
     unknown_ops: list[str] = field(default_factory=list)
-    #: static arena simulation (idealized full-reuse bound): the pool
-    #: capacity a size-bucketed arena would grow to over one run if every
-    #: counted tensor were pooled and freed at its computed last use —
-    #: steady-state runs then perform zero growths against this capacity
-    arena_capacity_bytes: int = 0
-    arena_growths: int = 0
-    arena_reuses: int = 0
     #: remat mode only: the budget the planner targeted and the resulting
     #: :class:`repro.analysis.remat.RematSchedule` (None in other modes)
     budget: int = 0
@@ -131,8 +124,7 @@ def estimate_liveness(graph: Graph, fetches=None,
     rematerialization planner schedules evictions and recomputes against
     ``budget`` (bytes, using this report's own byte accounting), the
     instance order lands in ``report.schedule`` (recomputed ops repeat) and
-    the schedule itself in ``report.remat``.  The arena simulation is
-    skipped in this mode (lifetimes are per instance, not per op).
+    the schedule itself in ``report.remat``.
     """
     if schedule_mode not in ("serial", "wavefront", "remat"):
         raise ValueError(f"unknown schedule_mode {schedule_mode!r}; "
@@ -177,7 +169,6 @@ def estimate_liveness(graph: Graph, fetches=None,
         return report
     if schedule_mode == "wavefront":
         _sweep_wavefront(report, plan, position, fetched)
-        _simulate_arena(report, plan, shapes, dtype_bytes)
         return report
 
     last: dict[str, int] = {}
@@ -205,50 +196,7 @@ def estimate_liveness(graph: Graph, fetches=None,
             report.peak_op = op.name
         for name in frees.get(step, ()):
             live -= report.output_bytes[name]
-    _simulate_arena(report, plan, shapes, dtype_bytes)
     return report
-
-
-def _simulate_arena(report: LivenessReport, plan: list[Operation],
-                    shapes, dtype_bytes: int) -> None:
-    """Replay the schedule against a simulated size-bucketed buffer arena.
-
-    Mirrors :class:`repro.eager.alloc.Arena`: each counted tensor acquires a
-    power-of-two bucket at its producer's step and returns it right after
-    the op's computed last use (``report.lifetime``).  The resulting
-    ``arena_capacity_bytes`` is the static capacity bound the runtime pool
-    converges to — an *idealized* bound, since the executor only pools
-    elementwise float64 outputs — and a steady-state run against a pool of
-    this capacity performs zero fresh growths.
-    """
-    free: dict[int, int] = {}  # bucket numel -> available buffers
-    frees_at: dict[int, list[str]] = {}
-    by_name: dict[str, Operation] = {op.name: op for op in plan}
-    for name, (_, end) in report.lifetime.items():
-        frees_at.setdefault(end, []).append(name)
-
-    def buckets_of(op: Operation) -> list[int]:
-        if not report.output_bytes.get(op.name):
-            return []  # excluded, unknown-shape, or zero-byte op
-        out = []
-        for tensor in op.outputs:
-            count = numel(shapes.get(tensor.name))
-            if count:
-                out.append(1 << max(0, count - 1).bit_length()
-                           if count > 1 else 1)
-        return out
-
-    for step, op in enumerate(plan):
-        for bucket in buckets_of(op):
-            if free.get(bucket, 0) > 0:
-                free[bucket] -= 1
-                report.arena_reuses += 1
-            else:
-                report.arena_growths += 1
-                report.arena_capacity_bytes += bucket * dtype_bytes
-        for name in frees_at.get(step, ()):
-            for bucket in buckets_of(by_name[name]):
-                free[bucket] = free.get(bucket, 0) + 1
 
 
 def _sweep_remat(report: LivenessReport, plan: list[Operation],

@@ -169,8 +169,6 @@ class RematSchedule:
     #: names of ops evicted (and re-executed) at least once
     evicted: tuple[str, ...] = ()
     recompute_flops: int = 0
-    #: bytes a serial run would hold with *no* frees (reference semantics)
-    serial_unreleased_bytes: int = 0
     #: liveness bounds of the unbudgeted plan (free at last use / at barrier)
     baseline_serial_peak: int = 0
     baseline_wavefront_peak: int = 0
@@ -449,7 +447,6 @@ def plan_remat(plan: Sequence[Operation], fetch_ops: Sequence[str],
 
     def finish(schedule: RematSchedule,
                baseline: RematSchedule) -> RematSchedule:
-        schedule.serial_unreleased_bytes = sum(b)
         schedule.baseline_serial_peak = baseline.serial_peak
         schedule.baseline_wavefront_peak = baseline.wavefront_peak
         schedule.recompute_flops = sum(

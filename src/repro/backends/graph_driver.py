@@ -79,7 +79,7 @@ class GraphDriver(BackendDriver):
         #: runs served by the vanilla graph after a contained failure
         self.vanilla_fallbacks = 0
         #: executor stats of the most recently intercepted session run:
-        #: plan-cache occupancy and (when arena reuse is on) pool counters
+        #: plan-cache occupancy
         self.last_executor_stats: dict | None = None
 
     @property
@@ -169,7 +169,7 @@ class GraphDriver(BackendDriver):
             self.vanilla_fallbacks += 1
             return run_impl(session.graph, fetches, feed)
         finally:
-            # post-run snapshot: the plan cache and arena the run produced
+            # post-run snapshot: the plan cache the run produced
             self._capture_executor_stats(session)
 
     # -- instrumented-graph cache (LRU, bounded) --------------------------------
@@ -189,10 +189,8 @@ class GraphDriver(BackendDriver):
                 self._graph_cache.popitem(last=False)
 
     def _capture_executor_stats(self, session: Session) -> None:
-        arena = getattr(session, "_arena", None)
         self.last_executor_stats = {
             "plan_cache_entries": len(getattr(session, "_plan_cache", ())),
-            "arena": arena.stats() if arena is not None else None,
         }
 
     # -- rewriting ---------------------------------------------------------------

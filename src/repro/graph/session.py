@@ -14,25 +14,24 @@ on:
   Sec. 5.3).
 
 Two executors share the compiled plan (see DESIGN.md, "Parallel execution"
-and "Slot-table execution and arena reuse"):
+and "Slot-table execution and release at last use"):
 
-* the **serial** executor walks the topological plan in order and keeps every
-  intermediate alive until the run ends — the reference semantics;
+* the **serial** executor walks the topological plan in order and frees
+  every intermediate right after the step of its last consumer
+  (``CompiledPlan.release_after_step``) — the reference semantics;
 * the **wavefront** executor (``amanda.config.num_workers > 1``, env
   ``AMANDA_NUM_WORKERS``) partitions the plan into dependency levels and runs
   each level across a thread pool (numpy/BLAS release the GIL on the hot
   kernels), releasing every intermediate at its statically-computed last-use
-  level so the runtime memory peak tracks the static liveness estimate.
+  level.
 
-Both executors move values through an integer-indexed **slot table** assigned
-at plan-compile time (one stable slot id per op output) instead of name-keyed
-dicts, so the per-op framework overhead is a couple of list indexings.  With
-``amanda.config.arena_reuse`` on (env ``AMANDA_ARENA``) freed intermediates
-additionally return to a size-bucketed :class:`repro.eager.alloc.Arena` at
-their last use — per-op last-use *steps* for the serial path, last-use levels
-for the wavefront path — and elementwise computes write into recycled
-buffers, so steady-state runs stop allocating.  Results stay bit-identical;
-fetched arena buffers are copied out before the pool recycles them.
+Either way the runtime memory peak tracks the static liveness estimate of
+the matching schedule.  Under a memory budget the rematerialization pass only
+supplies a different schedule and different last uses; the executors are
+unchanged.  Both executors move values through an integer-indexed **slot
+table** assigned at plan-compile time (one stable slot id per op output)
+instead of name-keyed dicts, so the per-op framework overhead is a couple of
+list indexings.
 
 Parallel eligibility is decided by the static effect system
 (:mod:`repro.analysis.effects`): plan compilation runs the race detector,
@@ -42,10 +41,6 @@ each pair by plan position reproduces the serial executor's per-key state
 access sequence, so results stay bit-identical.  Only two conditions still
 force the whole plan serial: an effect-*opaque* op (a ``PyCall`` whose tool
 declared no effects) and a kernel subscriber demanding in-order delivery.
-``config.effect_analysis = False`` (env ``AMANDA_EFFECT_ANALYSIS=0``)
-restores the legacy all-or-nothing rule — any store writer, training batch
-norm or non-``parallel_safe`` PyCall falls back serial — kept as an escape
-hatch and as the A/B baseline for ``benchmarks/bench_effects_ab.py``.
 ``Session.last_serialization_report`` records, per run, which executor ran,
 why a fallback happened, and every serialized op with its conflict reason.
 """
@@ -94,36 +89,9 @@ class RunContext:
 class _Runtime:
     """Per-run evaluation state handed to compute functions."""
 
-    def __init__(self, feeds: dict[str, np.ndarray], variables: VariableStore,
-                 arena: alloc.Arena | None = None):
+    def __init__(self, feeds: dict[str, np.ndarray], variables: VariableStore):
         self.feeds = feeds
         self.variables = variables
-        self.arena = arena
-
-    def ewise_out(self, *operands) -> np.ndarray | None:
-        """A recycled output buffer for an elementwise kernel, or ``None``.
-
-        Returns an arena buffer shaped like the broadcast of ``operands``
-        when the arena is on and every operand is a float64 ndarray (so the
-        kernel's result dtype is unchanged); ``None`` otherwise — numpy
-        ufuncs treat ``out=None`` as "allocate fresh", so computes can pass
-        the result through unconditionally.  Safe from wavefront workers.
-        """
-        arena = self.arena
-        if arena is None:
-            return None
-        shapes = []
-        for value in operands:
-            if not (isinstance(value, np.ndarray)
-                    and value.dtype == np.float64):
-                return None
-            shapes.append(value.shape)
-        return arena.acquire(np.broadcast_shapes(*shapes))
-
-
-#: op types whose compute writes the shared variable store — under the
-#: legacy (pre-effect-system) classification their presence forced serial
-_STORE_WRITERS = frozenset({"AssignSub", "AssignAdd", "AssignVar"})
 
 
 @dataclass(frozen=True)
@@ -189,23 +157,20 @@ class CompiledPlan:
     consumer in level ``L`` (fetched ops are never listed), so the wavefront
     executor can free each intermediate at its statically computed last use;
     ``release_levels``/``release_after_step`` are the same lifetimes lowered
-    to op indices — per wavefront level and per serial *step* (the serial
-    executor uses the latter only in arena mode; without the arena it keeps
-    every intermediate alive, the reference semantics).
+    to op indices — per wavefront level and per serial *step*; the serial
+    executor frees each step's list right after running that step.
     ``serial_only_reason`` names the first effect-opaque op (which makes the
     analysis — and therefore parallel execution — unsound), or ``None`` when
-    the plan is wavefront-eligible.  ``legacy_serial_reason`` preserves the
-    pre-effect-system all-or-nothing verdict for the
-    ``config.effect_analysis = False`` escape hatch.
+    the plan is wavefront-eligible.
 
-    Both classifications and the race analysis happen once here; the per-op
+    The classification and the race analysis happen once here; the per-op
     effect signatures are additionally memoized on the ops themselves (and
     survive the driver's graph cloning), so plan recompilation after a
     ``tool_epoch`` bump never redoes the per-op effect scan.
     """
 
     __slots__ = ("ops", "levels", "position", "release_after_level",
-                 "races", "serial_only_reason", "legacy_serial_reason",
+                 "races", "serial_only_reason",
                  "num_slots", "slot_base", "input_slots", "output_base",
                  "computes", "level_indices", "release_levels",
                  "release_after_step", "remat", "remat_error")
@@ -233,7 +198,6 @@ class CompiledPlan:
             if op.name not in fetched:
                 self.release_after_level[last_level[op.name]].append(op.name)
         self.serial_only_reason = self.races.serial_only_reason
-        self.legacy_serial_reason = self._classify_legacy(ops)
 
         # -- slot table: one stable integer slot per op output --------------
         self.slot_base: dict[str, int] = {}
@@ -312,18 +276,6 @@ class CompiledPlan:
         self.release_after_level = [[inst_ops[t].name for t in level]
                                     for level in schedule.release_levels]
 
-    @staticmethod
-    def _classify_legacy(ops: list[Operation]) -> str | None:
-        """Pre-effect-system whole-plan verdict (``effect_analysis`` off)."""
-        for op in ops:
-            if op.type == "PyCall" and not op.tags.get("parallel_safe"):
-                return f"PyCall op {op.name!r} without parallel_safe tag"
-            if op.type in _STORE_WRITERS:
-                return f"variable-store writer {op.name!r} ({op.type})"
-            if op.type == "FusedBatchNorm" and op.attrs.get("training"):
-                return f"training-mode batch norm {op.name!r}"
-        return None
-
     @property
     def parallel_safe(self) -> bool:
         return self.serial_only_reason is None
@@ -357,15 +309,13 @@ class Session:
         #: per-tenant quotas (a tenant cycling budget-variant plans evicts
         #: its own entries before touching another tenant's hot plans)
         self.cache_tenant: str | None = None
-        #: guards the plan cache and lazily-created executor/arena: ``run()``
+        #: guards the plan cache and lazily-created executor: ``run()``
         #: is safe to call from concurrent threads on a shared session (the
         #: serving runtime's hammer case) — LRU reorder, eviction and
         #: single-instance creation all happen under this lock
         self._state_lock = threading.RLock()
         self._executor: ThreadPoolExecutor | None = None
         self._executor_workers = 0
-        #: lazily-created buffer arena (``config.arena_reuse``)
-        self._arena: alloc.Arena | None = None
         #: instrumentation opt-out consulted by the Amanda graph driver: an
         #: exempt session always runs its vanilla graph even while tools are
         #: active.  The serving runtime marks its vanilla-lane pooled
@@ -517,19 +467,12 @@ class Session:
         compiled = self._plan(graph, tuple(t.op.name for t in fetches),
                               memory_budget=budget, feed_shapes=feed_shapes)
         self.last_compiled = compiled
-        arena = None
-        if config.arena_reuse:
-            with self._state_lock:
-                if self._arena is None:
-                    self._arena = alloc.Arena()
-                arena = self._arena
-        runtime = _Runtime(feed, graph.variables, arena)
+        runtime = _Runtime(feed, graph.variables)
         workers = config.num_workers
         self.last_run_parallel = False
         report = SerializationReport("serial")
         if workers > 1:
-            reason = (compiled.serial_only_reason if config.effect_analysis
-                      else compiled.legacy_serial_reason)
+            reason = compiled.serial_only_reason
             if reason is not None:
                 report = SerializationReport("serial", fallback_reason=reason)
             elif kernel_runtime.has_ordered_subscribers:
@@ -553,18 +496,20 @@ class Session:
                     runtime: _Runtime) -> list[np.ndarray]:
         slots: list = [None] * compiled.num_slots
         live: list[tuple[int, str] | None] = [None] * len(compiled.ops)
-        arena = runtime.arena
         variables = runtime.variables
         tag_kernels = kernel_runtime.has_subscribers
-        # the per-op body is _execute_op inlined (and its locals hoisted):
-        # a serial run pays this loop once per op, and the call overhead
-        # alone outweighs the slot table's win on small kernels
+        # the per-op body and the per-step release are inlined (and their
+        # locals hoisted): a serial run pays this loop once per op, and the
+        # call overhead alone outweighs the slot table's win on small kernels
+        ops = compiled.ops
         computes = compiled.computes
         input_slots = compiled.input_slots
         output_base = compiled.output_base
+        release_after_step = compiled.release_after_step
         allocate = alloc.tracker.allocate
+        release = alloc.tracker.release
         try:
-            for index, op in enumerate(compiled.ops):
+            for index, op in enumerate(ops):
                 compute = computes[index]
                 if compute is None:
                     compute = COMPUTE.get(op.type)
@@ -588,29 +533,30 @@ class Session:
                     slots[base + offset] = value
                     if id(value) in input_ids or variables.owns(value):
                         continue  # aliased pass-throughs are not fresh
-                    if arena is not None and arena.owns(value):
-                        continue  # pooled: accounted at arena growth time
                     nbytes += np.asarray(value).nbytes
                 scope = allocate(nbytes, scope=op.tags.get("alloc_scope"))
                 live[index] = (nbytes, scope)
-                if arena is not None:
-                    for value in outputs:
-                        arena.adopt(value)
-                    self._flush_arena_growth(arena)
-                if arena is not None or compiled.remat is not None:
-                    # per-op last-use release: in arena mode, and under a
-                    # memory budget (where the remat schedule's frees are the
-                    # whole point) — otherwise the serial executor keeps
-                    # every intermediate alive until the run ends (the
-                    # reference semantics)
-                    for released in compiled.release_after_step[index]:
-                        self._release_op(released, compiled, slots, live,
-                                         arena)
-            return self._extract(compiled, fetches, slots, arena)
-        finally:
+                # free every op whose last consumer ran at this step
+                for released in release_after_step[index]:
+                    entry = live[released]
+                    if entry is not None:
+                        release(*entry)
+                        live[released] = None
+                    start = output_base[released]
+                    for slot in range(start,
+                                      start + len(ops[released].outputs)):
+                        slots[slot] = None
+            results = self._extract(compiled, fetches, slots)
+        except BaseException:
             # an op failure (e.g. a raising instrumentation callback inside a
             # PyCall) must not leak the run's live-tensor accounting
-            self._release_remaining(compiled, slots, live, arena)
+            self._release_remaining(compiled, slots, live)
+            raise
+        # only the fetched outputs are still accounted
+        for entry in live:
+            if entry is not None:
+                release(*entry)
+        return results
 
     # -- wavefront executor (level-parallel, liveness-driven release) ----------
     def _run_wavefront(self, compiled: CompiledPlan,
@@ -618,7 +564,6 @@ class Session:
                        workers: int) -> list[np.ndarray]:
         slots: list = [None] * compiled.num_slots
         live: list[tuple[int, str] | None] = [None] * len(compiled.ops)
-        arena = runtime.arena
         tag_kernels = kernel_runtime.has_subscribers
         # deferred kernel events, indexed by plan position: delivered post-run
         # sorted by plan position, so profiler output is bit-identical to a
@@ -650,34 +595,22 @@ class Session:
                     scope = alloc.tracker.allocate(
                         nbytes, scope=op.tags.get("alloc_scope"))
                     live[op_index] = (nbytes, scope)
-                    if arena is not None:
-                        for value in outputs:
-                            arena.adopt(value)
                     if events is not None:
                         event_lists[op_index] = events
-                if arena is not None:
-                    self._flush_arena_growth(arena)
                 for op_index in compiled.release_levels[index]:
-                    self._release_op(op_index, compiled, slots, live, arena)
+                    self._release_op(op_index, compiled, slots, live)
             if event_lists is not None:
                 kernel_runtime.deliver(
                     [event for events in event_lists if events
                      for event in events])
-            return self._extract(compiled, fetches, slots, arena)
+            return self._extract(compiled, fetches, slots)
         finally:
-            self._release_remaining(compiled, slots, live, arena)
+            self._release_remaining(compiled, slots, live)
 
     # -- shared executor plumbing ----------------------------------------------
     @staticmethod
-    def _flush_arena_growth(arena: alloc.Arena) -> None:
-        """Account arena growth with the tracker (submitting thread only)."""
-        grown = arena.take_growth_bytes()
-        if grown:
-            alloc.tracker.allocate(grown, scope="dnn")
-
-    @staticmethod
     def _release_op(index: int, compiled: CompiledPlan, slots: list,
-                    live: list, arena: alloc.Arena | None) -> None:
+                    live: list) -> None:
         """Free op ``index``'s accounting entry and slot values."""
         entry = live[index]
         if entry is not None:
@@ -685,31 +618,18 @@ class Session:
             live[index] = None
         base = compiled.output_base[index]
         for slot in range(base, base + len(compiled.ops[index].outputs)):
-            value = slots[slot]
-            if value is not None and arena is not None:
-                arena.release(value)
             slots[slot] = None
 
     def _release_remaining(self, compiled: CompiledPlan, slots: list,
-                           live: list, arena: alloc.Arena | None) -> None:
+                           live: list) -> None:
         for index in range(len(compiled.ops)):
-            self._release_op(index, compiled, slots, live, arena)
-        if arena is not None:
-            # buffers a failed compute acquired but never published
-            arena.reclaim_unadopted()
-            self._flush_arena_growth(arena)
+            self._release_op(index, compiled, slots, live)
 
     @staticmethod
     def _extract(compiled: CompiledPlan, fetches: list[GraphTensor],
-                 slots: list, arena: alloc.Arena | None) -> list[np.ndarray]:
-        results = []
-        for t in fetches:
-            value = slots[compiled.slot_base[t.op.name] + t.index]
-            if arena is not None and arena.owns(value):
-                # detach the result before the pool recycles its buffer
-                value = np.array(value)
-            results.append(value)
-        return results
+                 slots: list) -> list[np.ndarray]:
+        return [slots[compiled.slot_base[t.op.name] + t.index]
+                for t in fetches]
 
     def _execute_op(self, index: int, compiled: CompiledPlan, slots: list,
                     runtime: _Runtime, tag_kernels: bool, defer: bool):
@@ -744,7 +664,6 @@ class Session:
         else:
             outputs = compute(op, inputs, runtime)
         input_ids = {id(v) for v in inputs}
-        arena = runtime.arena
         variables = runtime.variables
         nbytes = 0
         for o in outputs:
@@ -752,8 +671,6 @@ class Session:
                 # aliased pass-throughs and store-backed reads (a Variable
                 # compute returns the stored array itself) are not fresh
                 continue
-            if arena is not None and arena.owns(o):
-                continue  # pooled buffers are accounted at arena growth time
             nbytes += np.asarray(o).nbytes
         return outputs, nbytes, events
 
@@ -776,10 +693,10 @@ class Session:
 
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:
-        """Release the worker pool, pooled arena buffers and cached plans.
+        """Release the worker pool and cached plans.
 
-        Idempotent; the session stays usable afterwards (the pool and arena
-        are recreated lazily on the next run).  Prefer the context-manager
+        Idempotent; the session stays usable afterwards (the pool is
+        recreated lazily on the next run).  Prefer the context-manager
         form: ``with Session(graph) as sess: ...``.
         """
         with self._state_lock:
@@ -787,11 +704,6 @@ class Session:
                 self._executor.shutdown(wait=True, cancel_futures=True)
                 self._executor = None
                 self._executor_workers = 0
-            if self._arena is not None:
-                freed = self._arena.drain()
-                if freed:
-                    alloc.tracker.release(freed, "dnn")
-                self._arena = None
             self._plan_cache.clear()
             self._plan_owner.clear()
 

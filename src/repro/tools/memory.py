@@ -34,7 +34,7 @@ __all__ = ["MemoryProfilingTool", "RematerializationPlan"]
 _NON_RECOMPUTABLE = frozenset({"variable", "placeholder", "constant"})
 
 #: store-owned state: excluded from the activation byte model (the slot-table
-#: executor's arena tracker and ``repro.analysis.remat.op_costs`` both give
+#: executor's allocation tracker and ``repro.analysis.remat.op_costs`` both give
 #: Variable reads zero bytes because the VariableStore owns that memory).
 _PERSISTENT = frozenset({"variable"})
 
@@ -118,7 +118,7 @@ class MemoryProfilingTool(Tool):
 
         With ``activations_only`` variable reads count zero bytes, matching
         the byte model of the static scheduler (``repro.analysis.remat``) and
-        the executor's arena tracker, where that memory is store-owned.
+        the executor's allocation tracker, where that memory is store-owned.
         """
         evicted = evicted or set()
         last = self._last_consumer_index()

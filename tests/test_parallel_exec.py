@@ -94,18 +94,6 @@ class TestFallbackRules:
         assert report.serialized_ops == {}
         assert np.isfinite(loss)
 
-    def test_legacy_knob_restores_all_or_nothing_fallback(self, rng):
-        """AMANDA_EFFECT_ANALYSIS=0 brings back the old whole-plan bailout."""
-        gm = GM.build_mlp(learning_rate=0.3)
-        sess = gm.session()
-        feed = {gm.inputs: rng.standard_normal((16, 16)),
-                gm.labels: rng.integers(0, 4, 16)}
-        with amanda.num_workers(4), amanda.effect_analysis(False):
-            loss, _ = sess.run([gm.loss, gm.train_op], feed)
-        assert not sess.last_run_parallel
-        assert "variable-store writer" in sess.last_fallback_reason
-        assert np.isfinite(loss)
-
     def test_training_trajectory_identical_under_knob(self, rng):
         """The knob never changes training numerics (race-directed order)."""
         x = rng.standard_normal((16, 16))
@@ -150,7 +138,9 @@ class TestFallbackRules:
     def test_serial_when_workers_not_requested(self, rng):
         gm = GM.build_mlp(learning_rate=None)
         sess = gm.session()
-        sess.run(gm.logits, {gm.inputs: rng.standard_normal((4, 16))})
+        # pin the precondition: AMANDA_NUM_WORKERS may request workers
+        with amanda.num_workers(1):
+            sess.run(gm.logits, {gm.inputs: rng.standard_normal((4, 16))})
         assert not sess.last_run_parallel
         assert sess.last_fallback_reason is None
 
@@ -346,14 +336,17 @@ class TestMemoryRelease:
         assert sess.last_run_parallel
 
         np.testing.assert_array_equal(np.asarray(baseline), np.asarray(got))
-        report = estimate_liveness(gm.graph, fetches=[gm.logits],
-                                   feed_shapes={"input": x.shape},
-                                   exclude_types=(),
-                                   schedule_mode="wavefront")
-        # early release keeps the runtime peak under the static wavefront
-        # bound, and strictly under the keep-everything serial peak
-        assert parallel_peak <= report.peak_bytes
-        assert parallel_peak < serial_peak
+
+        def estimate(mode):
+            return estimate_liveness(gm.graph, fetches=[gm.logits],
+                                     feed_shapes={"input": x.shape},
+                                     exclude_types=(),
+                                     schedule_mode=mode).peak_bytes
+
+        # each executor frees at its own last uses, so its runtime peak
+        # stays under the static estimate of its schedule
+        assert serial_peak <= estimate("serial")
+        assert parallel_peak <= estimate("wavefront")
 
     def test_wavefront_estimate_bounds_serial_estimate(self, rng):
         gm = GM.build_inception_v3()

@@ -1,11 +1,11 @@
-"""Slot-table execution and arena buffer reuse: equivalence + accounting.
+"""Slot-table execution and release at last use: equivalence + accounting.
 
-The slot-table executor and the arena pool must be invisible except for
-speed: for every worker count, with the arena on or off, instrumented or
-quarantined, the results are bit-identical to the plain serial dict-era
-semantics.  The arena additionally has to reach a steady state — a second
-run of the same plan performs zero fresh growths — and every byte it holds
-must flow through the allocation tracker and come back out at close.
+The slot-table executors must be invisible except for speed and memory: for
+every worker count, instrumented or quarantined, the results are
+bit-identical to a serial run.  Every intermediate is freed at its
+statically-computed last use, so the tracker-measured peak stays within the
+static liveness estimate, and every tracked byte comes back out at the end
+of a run — also when a compute raises halfway through the plan.
 """
 
 import numpy as np
@@ -15,8 +15,8 @@ import repro.amanda as amanda
 import repro.graph as G
 import repro.models.graph as GM
 from repro.amanda.tools import ExecutionTraceTool
+from repro.analysis.liveness import estimate_liveness
 from repro.eager import alloc
-from repro.eager.alloc import Arena
 from repro.graph import builder as gb
 from repro.tools.faulty import FaultyTool
 
@@ -42,7 +42,7 @@ def _assert_same(expected, actual):
 
 
 class TestBitEquivalence:
-    """serial == slot-table == arena-reuse, for every worker count."""
+    """Serial and wavefront runs agree bit-for-bit, for every worker count."""
 
     @pytest.mark.parametrize("builder,input_shape", ZOO)
     def test_zoo_bitwise_equal_across_modes(self, rng, builder, input_shape):
@@ -51,14 +51,12 @@ class TestBitEquivalence:
         with gm.session() as sess:
             baseline = sess.run([gm.logits, gm.loss], feed)
             for workers in WORKER_COUNTS:
-                for arena_on in (False, True):
-                    with amanda.num_workers(workers), \
-                            amanda.arena_reuse(arena_on):
-                        got = sess.run([gm.logits, gm.loss], feed)
-                        # steady state: run again against the warm pool
-                        again = sess.run([gm.logits, gm.loss], feed)
-                    _assert_same(baseline, got)
-                    _assert_same(baseline, again)
+                with amanda.num_workers(workers):
+                    got = sess.run([gm.logits, gm.loss], feed)
+                    # a second run replays the cached plan
+                    again = sess.run([gm.logits, gm.loss], feed)
+                _assert_same(baseline, got)
+                _assert_same(baseline, again)
 
     def test_bert_bitwise_equal_across_modes(self, rng):
         gm = GM.build_bert()
@@ -67,24 +65,9 @@ class TestBitEquivalence:
         with gm.session() as sess:
             baseline = sess.run([gm.logits, gm.loss], feed)
             for workers in WORKER_COUNTS:
-                for arena_on in (False, True):
-                    with amanda.num_workers(workers), \
-                            amanda.arena_reuse(arena_on):
-                        got = sess.run([gm.logits, gm.loss], feed)
-                    _assert_same(baseline, got)
-
-    def test_training_trajectory_identical_under_arena(self, rng):
-        inputs = rng.standard_normal((8, 16))
-        labels = rng.integers(0, 4, 8)
-
-        def losses(arena_on):
-            gm = GM.build_mlp()  # fresh parameters for each arm
-            feed = {gm.inputs: inputs, gm.labels: labels}
-            with gm.session() as sess, amanda.arena_reuse(arena_on):
-                return [float(sess.run([gm.loss, gm.train_op], feed)[0])
-                        for _ in range(3)]
-
-        assert losses(False) == losses(True)
+                with amanda.num_workers(workers):
+                    got = sess.run([gm.logits, gm.loss], feed)
+                _assert_same(baseline, got)
 
     def test_instrumented_run_bitwise_equal(self, rng):
         gm = GM.build_mlp()
@@ -93,11 +76,9 @@ class TestBitEquivalence:
             baseline = sess.run([gm.logits, gm.loss], feed)
             with amanda.apply(ExecutionTraceTool()):
                 for workers in WORKER_COUNTS:
-                    for arena_on in (False, True):
-                        with amanda.num_workers(workers), \
-                                amanda.arena_reuse(arena_on):
-                            got = sess.run([gm.logits, gm.loss], feed)
-                        _assert_same(baseline, got)
+                    with amanda.num_workers(workers):
+                        got = sess.run([gm.logits, gm.loss], feed)
+                    _assert_same(baseline, got)
 
     def test_quarantined_run_bitwise_equal(self, rng):
         gm = GM.build_mlp()
@@ -106,140 +87,72 @@ class TestBitEquivalence:
             baseline = sess.run([gm.logits, gm.loss], feed)
             tool = FaultyTool(always=True)
             with amanda.error_policy("quarantine"), amanda.apply(tool) as mgr:
-                with amanda.arena_reuse(True):
-                    got = sess.run([gm.logits, gm.loss], feed)
+                got = sess.run([gm.logits, gm.loss], feed)
                 assert tool.name in mgr.quarantined
             _assert_same(baseline, got)
 
 
-class TestArenaSteadyState:
-    """The pool converges: repeat runs reuse buffers instead of growing."""
+class TestReleaseAtLastUse:
+    """Intermediates die at their last use; the tracker always balances."""
 
-    @pytest.mark.parametrize("builder,input_shape", [
-        (GM.build_mlp, (8, 16)),
-        (GM.build_resnet, (2, 16, 16, 3)),
-    ])
-    def test_zero_fresh_growths_on_second_run(self, rng, builder,
-                                              input_shape):
+    @pytest.mark.parametrize("builder", [GM.build_inception_v3,
+                                         GM.build_resnet])
+    def test_serial_peak_within_static_estimate(self, rng, builder):
         gm = builder()
-        feed = _zoo_feed(gm, rng, input_shape)
-        with gm.session() as sess, amanda.arena_reuse(True):
-            sess.run([gm.logits, gm.loss], feed)
-            arena = sess._arena
-            assert arena is not None and arena.growths > 0
-            growths = arena.growths
-            sess.run([gm.logits, gm.loss], feed)
-            assert arena.growths == growths, \
-                "steady-state run grew the arena"
-            assert arena.reuses > 0
+        feed = _zoo_feed(gm, rng, (2, 16, 16, 3))
+        fetches = [gm.logits, gm.loss]
+        with gm.session() as sess, amanda.num_workers(1):
+            sess.run(fetches, feed)
+        peak = alloc.tracker.peak["dnn"]
+        # the tracker never charges Variable reads (the store owns them)
+        report = estimate_liveness(
+            gm.graph, fetches=fetches, exclude_types=("Variable",),
+            feed_shapes={"input": (2, 16, 16, 3), "labels": (2,)})
+        assert peak <= report.peak_bytes
+        assert peak < alloc.tracker.total_allocated["dnn"]
+        assert alloc.tracker.live["dnn"] == 0
 
-    def test_arena_off_means_no_pool(self, rng):
-        gm = GM.build_mlp()
-        feed = _zoo_feed(gm, rng, (8, 16))
-        with gm.session() as sess:
-            sess.run([gm.logits, gm.loss], feed)
-            assert sess._arena is None
+    def test_failed_run_after_releases_balances_tracker(self):
+        with G.default_graph() as g:
+            x = gb.placeholder(name="x")
+            h = gb.square(gb.square(gb.square(x)))
 
-    def test_fetched_values_survive_pool_recycling(self, rng):
-        # fetched tensors are copied out of the pool, so a later run that
-        # recycles the buffer must not corrupt earlier results
-        gm = GM.build_mlp()
-        feed = _zoo_feed(gm, rng, (8, 16))
-        with gm.session() as sess:
-            reference = sess.run(gm.logits, feed)
-            with amanda.arena_reuse(True):
-                first = sess.run(gm.logits, feed)
-                snapshot = np.array(first)
-                sess.run(gm.logits,
-                         _zoo_feed(gm, np.random.default_rng(7), (8, 16)))
-            np.testing.assert_array_equal(first, snapshot)
-            np.testing.assert_array_equal(first, np.asarray(reference))
-            assert not sess._arena.owns(first)
+            def boom(value):
+                raise RuntimeError("compute failed mid-plan")
 
-
-class TestArenaUnit:
-    """Arena acquire/adopt/release mechanics in isolation."""
-
-    def test_acquire_buckets_to_power_of_two(self):
-        arena = Arena()
-        buf = arena.acquire((3, 5))
-        assert buf.shape == (3, 5) and buf.dtype == np.float64
-        assert arena.growths == 1
-        # 15 elements -> 16-element bucket
-        assert arena.held_bytes == 16 * 8
-
-    def test_release_then_acquire_reuses(self):
-        arena = Arena()
-        buf = arena.acquire((4, 4))
-        arena.adopt(buf)
-        arena.release(buf)
-        again = arena.acquire((2, 8))  # same 16-element bucket
-        assert arena.reuses == 1 and arena.growths == 1
-
-    def test_refcounted_alias_release(self):
-        # two adopters (e.g. an Identity alias) need two releases
-        arena = Arena()
-        buf = arena.acquire((8,))
-        view = buf[:4]
-        arena.adopt(buf)
-        arena.adopt(view)
-        assert arena.owns(view)
-        arena.release(buf)
-        assert arena.acquire((8,)) is not None and arena.reuses == 0
-        arena.release(view)
-        arena.acquire((8,))
-        assert arena.reuses == 1
-
-    def test_unadopted_buffers_reclaimed(self):
-        # a compute that raised never published its output: sweep it back
-        arena = Arena()
-        arena.acquire((8,))
-        arena.reclaim_unadopted()
-        arena.acquire((8,))
-        assert arena.reuses == 1 and arena.growths == 1
-
-    def test_growth_bytes_flushed_once(self):
-        arena = Arena()
-        arena.acquire((8,))
-        assert arena.take_growth_bytes() == 8 * 8
-        assert arena.take_growth_bytes() == 0
-
-    def test_drain_returns_tracked_bytes(self):
-        arena = Arena()
-        buf = arena.acquire((8,))
-        flushed = arena.take_growth_bytes()
-        arena.adopt(buf)
-        arena.release(buf)
-        assert arena.drain() == flushed
-        assert arena.held_bytes == 0
-
-    def test_foreign_arrays_not_owned(self):
-        arena = Arena()
-        foreign = np.zeros(4)
-        assert not arena.owns(foreign)
-        arena.adopt(foreign)  # no-op
-        arena.release(foreign)  # no-op
-        assert arena.stats()["growths"] == 0
+            out = gb.py_call(boom, [h]).outputs[0]
+        sess = G.Session(g)
+        with amanda.num_workers(1), \
+                pytest.raises(RuntimeError, match="mid-plan"):
+            sess.run(out, {x: np.ones(64)})
+        compiled = sess.last_compiled
+        failed_at = compiled.position[out.op.name]
+        # precondition: earlier steps had already freed some intermediates
+        assert any(compiled.release_after_step[:failed_at])
+        assert alloc.tracker.total_allocated["dnn"] > 0
+        assert alloc.tracker.live["dnn"] == 0
+        sess.close()
 
 
 class TestSessionLifecycle:
-    """close() releases every tracked byte and is idempotent."""
+    """close() releases the worker pool and plan cache and is idempotent."""
 
-    def test_close_releases_arena_accounting(self, rng):
+    def test_close_is_idempotent(self, rng):
         gm = GM.build_mlp()
         feed = _zoo_feed(gm, rng, (8, 16))
         sess = gm.session()
-        with amanda.arena_reuse(True):
+        with amanda.num_workers(2):
             sess.run([gm.logits, gm.loss], feed)
-        assert alloc.tracker.live.get("dnn", 0) > 0
+        assert sess._executor is not None and sess._plan_cache
         sess.close()
-        assert alloc.tracker.live.get("dnn", 0) == 0
+        assert sess._executor is None and not sess._plan_cache
+        assert alloc.tracker.live["dnn"] == 0
         sess.close()  # idempotent
 
     def test_context_manager_closes(self, rng):
         gm = GM.build_mlp()
         feed = _zoo_feed(gm, rng, (8, 16))
-        with gm.session() as sess, amanda.arena_reuse(True):
+        with gm.session() as sess:
             sess.run([gm.logits, gm.loss], feed)
         assert alloc.tracker.live.get("dnn", 0) == 0
         assert len(sess._plan_cache) == 0
