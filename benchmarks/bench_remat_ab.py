@@ -16,8 +16,8 @@ search, where *feasible* means the tracker-measured peak stays within the
 budget.  Raced on InceptionV3 and BERT training steps (forward +
 backward + in-place SGD updates):
 
-* **equivalence** — budgeted training is bit-identical to unbudgeted at
-  workers {1, 4} (losses of two consecutive steps compared);
+* **equivalence** — budgeted training is bit-identical to unbudgeted
+  (losses of two consecutive steps compared);
 * **capacity** — remat fits a >= 1.5x larger batch than the baseline under
   the same budget (asserted for InceptionV3, reported for BERT);
 * **overhead** — recompute cost is reported as scheduled FLOPs and as the
@@ -91,7 +91,7 @@ class BertCase(ModelCase):
                 RNG.integers(0, 2, (batch, 16)))
 
 
-def _run_step(case, batch, budget=None, workers=1, steps=1):
+def _run_step(case, batch, budget=None, steps=1):
     """Fresh model, ``steps`` training iterations; returns peak + schedule.
 
     ``first`` is the first step's wall time, which includes plan compile
@@ -99,13 +99,10 @@ def _run_step(case, batch, budget=None, workers=1, steps=1):
     """
     gm = case.build()
     feed = case.feed(gm, batch)
-    scopes = [amanda.num_workers(workers)]
-    if budget is not None:
-        scopes.append(amanda.memory_budget(budget))
+    scope = amanda.memory_budget(budget) if budget is not None \
+        else contextlib.nullcontext()
     losses = []
-    with gm.session() as sess, contextlib.ExitStack() as stack:
-        for scope in scopes:
-            stack.enter_context(scope)
+    with gm.session() as sess, scope:
         alloc.tracker.reset()
         walls = []
         for _ in range(steps):
@@ -167,13 +164,11 @@ def bench_case(case):
         f"{case.name}: measured peak {at_max['peak']} exceeds {budget}"
     assert at_max["remat"] is not None and at_max["remat_error"] is None
 
-    # bit-identity: budgeted training matches unbudgeted, workers {1, 4}
+    # bit-identity: budgeted training matches unbudgeted
     vanilla = _run_step(case, case.ref_batch, steps=2)
-    for workers in (1, 4):
-        budgeted = _run_step(case, case.ref_batch, budget=budget // 2,
-                             workers=workers, steps=2)
-        for expected, got in zip(vanilla["losses"], budgeted["losses"]):
-            np.testing.assert_array_equal(expected, got)
+    budgeted = _run_step(case, case.ref_batch, budget=budget // 2, steps=2)
+    for expected, got in zip(vanilla["losses"], budgeted["losses"]):
+        np.testing.assert_array_equal(expected, got)
 
     # recompute overhead at the max remat batch: budgeted vs unbudgeted
     # warm steps, with each session's compiling first step kept apart

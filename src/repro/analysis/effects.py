@@ -1,10 +1,14 @@
 """Static effect system and plan-level race detection.
 
-The wavefront executor (see DESIGN.md, "Parallel execution") needs to know
-which ops of a plan may run concurrently.  Until this module existed the
-session answered with a whole-plan guess: one variable-store writer, one
-training batch norm or one undeclared ``PyCall`` forced the *entire* plan
-serial.  The effect system replaces the guess with an analysis:
+Every graph op gets a static **effect signature**, and two consumers read
+them:
+
+* the rematerialization pass (:mod:`repro.analysis.remat`) may only
+  re-execute ops that :func:`recomputable` calls effect-pure;
+* the ``races`` lint (``python -m repro.analysis races`` and the
+  ``effect-conflict`` lint rule) reports tools whose declared effects race.
+
+The pieces:
 
 * every builtin graph op type has a registered **effect signature** —
   :data:`PURE` (a function of its inputs only), ``reads-state(key)`` /
@@ -13,17 +17,13 @@ serial.  The effect system replaces the guess with an analysis:
   :data:`RNG_KEY`), or ``ordered-event`` (:data:`ORDERED_EVENTS_KEY`);
 * tool-inserted ``PyCall`` ops carry explicit declarations
   (``Tool.effects`` → the ``effects`` tag the graph driver attaches); an
-  undeclared ``PyCall`` is **opaque** and keeps the conservative whole-plan
-  serial fallback;
+  undeclared ``PyCall`` is **opaque**;
 * :func:`analyze_plan` enumerates the *conflicting pairs* — two ops with no
   dependency path between them where one writes a state key the other reads
-  or writes — and emits serialization edges (earlier plan position → later)
-  that the session injects into :func:`repro.graph.core.plan_levels`.
-
-Ordering conflicting pairs by plan position reproduces the serial executor's
-per-key access sequence exactly, so a wavefront run with injected edges is
-bit-identical to a serial run; everything not involved in a conflict keeps
-its parallelism.
+  or writes — and the opaque ops of a plan.  The serial executor runs
+  conflicting pairs in plan order, so a conflict is a finding about the
+  graph (its result depends on an order nothing in the graph pins), not a
+  runtime hazard.
 
 Completeness is enforced like the op-schema registry:
 :func:`missing_effect_signatures` diffs the effect table against
@@ -33,7 +33,7 @@ fails when an op type has a schema but no effect signature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
@@ -67,8 +67,8 @@ class EffectSig:
 
     ``reads``/``writes`` are variable-store keys (plus the synthetic
     :data:`RNG_KEY` / :data:`ORDERED_EVENTS_KEY`).  ``opaque`` marks an op
-    whose effects are unknown — the analysis cannot bound it, so its plan
-    falls back to the serial executor.
+    whose effects are unknown — the analysis cannot bound it, and the
+    rematerialization pass never recomputes it.
     """
 
     reads: frozenset = frozenset()
@@ -209,7 +209,7 @@ def _pycall_rule(op: Operation) -> EffectSig:
     if declaration is not None:
         return normalize_effects(declaration)
     if op.tags.get("parallel_safe"):
-        # legacy observe-only tag from the graph driver: no declared state
+        # the graph driver's observe-only tag: no declared state
         return PURE
     return OPAQUE
 
@@ -296,19 +296,10 @@ class Conflict:
 
     kind: str                 # "write-write" | "read-write"
     keys: tuple[str, ...]     # the contested state keys
-    first: str                # plan-earlier op name (runs first when ordered)
+    first: str                # plan-earlier op name (runs first)
     first_type: str
-    second: str               # plan-later op name (serialized after `first`)
+    second: str               # plan-later op name
     second_type: str
-
-    def describe(self, op_name: str) -> str:
-        """Per-op serialization reason, as listed by the session report."""
-        keys = ", ".join(repr(k) for k in self.keys)
-        if op_name == self.second:
-            return (f"serialized after {self.first!r}: {self.kind} "
-                    f"conflict on state key(s) {keys}")
-        return (f"ordered before {self.second!r}: {self.kind} "
-                f"conflict on state key(s) {keys}")
 
     def __str__(self) -> str:
         keys = ", ".join(repr(k) for k in self.keys)
@@ -321,30 +312,18 @@ class RaceReport:
     """Race-analysis result for one execution plan.
 
     Mirrors the verifier's report shape: ``ok`` plus per-finding provenance.
-    ``extra_edges`` maps each conflict's plan-later op to the plan-earlier
-    ops it must wait for — exactly the serialization edges
-    :func:`repro.graph.core.plan_levels` accepts as ``extra_deps``.
     """
 
     num_ops: int
     conflicts: tuple = ()
     #: (op name, op type, message) for every effect-opaque op in the plan
     opaque_ops: tuple = ()
-    extra_edges: dict = field(default_factory=dict)
     #: number of ops with a non-pure (stateful) signature
     stateful_ops: int = 0
 
     @property
     def ok(self) -> bool:
         return not self.conflicts and not self.opaque_ops
-
-    @property
-    def serial_only_reason(self) -> str | None:
-        """Why the whole plan must stay serial, or None (conflicts alone
-        never force serial — they are resolved by injected edges)."""
-        if self.opaque_ops:
-            return self.opaque_ops[0][2]
-        return None
 
     def __str__(self) -> str:
         if self.ok:
@@ -363,11 +342,9 @@ def analyze_plan(plan: Sequence[Operation]) -> RaceReport:
     """Detect state races between unordered op pairs of a topological plan.
 
     Two ops conflict when no dependency path (data or control) connects them
-    and one writes a state key the other reads or writes.  For every
-    conflicting pair the report carries a serialization edge from the
-    plan-earlier op to the plan-later op: ordering by plan position
-    reproduces the serial executor's per-key access sequence, so executing
-    with the edges injected is bit-identical to a serial run.
+    and one writes a state key the other reads or writes.  Each conflict
+    names its plan-earlier op first: the order the serial executor runs
+    the pair in.
     """
     readers: dict[str, list[int]] = {}
     writers: dict[str, list[int]] = {}
@@ -434,7 +411,6 @@ def analyze_plan(plan: Sequence[Operation]) -> RaceReport:
         reach[i] = mask
 
     conflicts: list[Conflict] = []
-    extra_edges: dict[str, list[str]] = {}
     for (a, b), entry in sorted(pairs.items()):
         if (reach[b] >> a) & 1:
             continue  # a dependency path already orders the pair
@@ -443,9 +419,5 @@ def analyze_plan(plan: Sequence[Operation]) -> RaceReport:
         conflicts.append(Conflict(kind, tuple(sorted(entry["keys"])),
                                   plan[a].name, plan[a].type,
                                   plan[b].name, plan[b].type))
-        extra_edges.setdefault(plan[b].name, []).append(plan[a].name)
 
-    return RaceReport(len(plan), tuple(conflicts), tuple(opaque),
-                      {name: tuple(deps)
-                       for name, deps in extra_edges.items()},
-                      stateful)
+    return RaceReport(len(plan), tuple(conflicts), tuple(opaque), stateful)

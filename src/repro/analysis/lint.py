@@ -26,8 +26,8 @@ and flags compositions that are legal individually but wrong together:
   is the established cache-safe idiom (see ``cache-unsafe-context``);
 * ``effect-conflict`` — two tools acting on the same operator declare
   effects (``Tool.effects``) that race: one writes a state key the other
-  reads or writes.  The composition still runs (the race analysis
-  serializes the conflicting PyCalls pairwise), but the tools observe each
+  reads or writes.  The composition still runs (the executor runs the
+  conflicting PyCalls in plan order), but the tools observe each
   other's state mutations in plan order — usually a sign the composition
   was not designed together.
 

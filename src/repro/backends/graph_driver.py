@@ -209,7 +209,8 @@ class GraphDriver(BackendDriver):
         mgr = self.manager
         # snapshot the active tools' effect declarations: every PyCall a
         # tool's actions realize below is tagged with them, so the race
-        # analysis can scope (instead of serialize) the instrumented plan
+        # analysis sees each callback's state footprint instead of an
+        # opaque op
         self._tool_effects = {
             tool.name: tool.effects for tool in mgr.tools
             if getattr(tool, "effects", None) is not None}
@@ -265,7 +266,7 @@ class GraphDriver(BackendDriver):
             plan_by_context[id(context)] = plan
             # observe-only plans (forward inserts, no replace/backward/state)
             # are order-independent, so their PyCall nodes are tagged
-            # parallel_safe and the session may still run them wavefronted
+            # parallel_safe and the race analysis treats them as pure
             self._realize_forward(rewriter, op, plan.forward, redirects,
                                   observe_only=plan.kind is
                                   PlanKind.OBSERVE_ONLY)
@@ -362,7 +363,7 @@ class GraphDriver(BackendDriver):
     # come from repro.core.plans — only the edit geometry lives here.
 
     _TAGS = {"alloc_scope": "tool"}
-    #: observe-only callbacks may run from wavefront worker threads
+    #: observe-only callbacks touch no state the race analysis tracks
     _SAFE_TAGS = {"alloc_scope": "tool", "parallel_safe": True}
 
     def _step_tags(self, tool: str | None, observe_only: bool = False) -> dict:

@@ -2,9 +2,9 @@
 
 :func:`capture` wraps an eager :class:`~repro.eager.module.Module` so that
 calls execute through a :class:`~repro.graph.session.Session` — inheriting
-the whole compiled-executor stack (plan cache, static verifier, effect-based
-race analysis, fusion, wavefront scheduling, slot table, release at last
-use) while staying bit-identical to plain eager dispatch.
+the whole compiled-executor stack (plan cache, static verifier, fusion,
+slot table, release at last use) while staying bit-identical to plain eager
+dispatch.
 
 The mechanism is concrete tracing with **guard buckets**:
 

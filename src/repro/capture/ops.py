@@ -51,8 +51,8 @@ _ctx_lock = threading.Lock()
 def _ctx_table(runtime) -> dict:
     table = getattr(runtime, _CTX_TABLE_ATTR, None)
     if table is None:
-        # wavefront workers may race the first stash of a run; the lock makes
-        # table creation a once-only event (stashes themselves are per-key)
+        # the lock makes table creation a once-only event even if two
+        # threads stash into one run (stashes themselves are per-key)
         with _ctx_lock:
             table = getattr(runtime, _CTX_TABLE_ATTR, None)
             if table is None:

@@ -7,13 +7,6 @@ code, and exposes a scoped context manager for tests and per-run overrides.
 
 Current knobs:
 
-* ``num_workers`` (env ``AMANDA_NUM_WORKERS``, default ``1`` = serial) — how
-  many threads the graph-backend :class:`~repro.graph.session.Session` may
-  use for wavefront-parallel plan execution.  ``"auto"`` resolves to the
-  host's CPU count.  Values ``<= 1`` keep the classic serial executor.  The
-  executor falls back to serial regardless of this knob whenever the plan is
-  not provably parallel-safe (see DESIGN.md, "Parallel execution").  Both
-  executors free every intermediate at its statically-computed last use.
 * ``plan_cache_size`` (env ``AMANDA_PLAN_CACHE_SIZE``, default 64) — LRU
   bound on the per-session compiled-plan cache.  Long-lived sessions that
   cycle through many distinct fetch sets evict the least recently used
@@ -49,6 +42,10 @@ Current knobs:
   recomputed before later consumers, trading FLOPs for peak memory.  ``0``
   disables budgeting (no remat lowering; intermediates are still freed at
   their last use).
+
+``amanda.num_workers(n)`` survives as a scope that accepts and ignores a
+worker count, and ``AMANDA_NUM_WORKERS`` is ignored: the graph session has
+one serial executor (see DESIGN.md, "One executor").
 """
 
 from __future__ import annotations
@@ -62,8 +59,8 @@ __all__ = ["Config", "config", "num_workers", "plan_cache_size",
            "serve_batch", "memory_budget"]
 
 
-def _parse_workers(value: str | int | None, default: int = 1) -> int:
-    """Parse a worker-count setting; invalid or missing values mean serial."""
+def _parse_workers(value: str | int | None, default: int) -> int:
+    """Parse a worker-count setting; invalid or missing keeps the default."""
     if value is None:
         return default
     if isinstance(value, str):
@@ -156,7 +153,6 @@ class Config:
 
     def refresh_from_env(self) -> None:
         """Re-read every knob from its environment variable."""
-        self.num_workers = _parse_workers(os.environ.get("AMANDA_NUM_WORKERS"))
         self.plan_cache_size = _parse_bound(
             os.environ.get("AMANDA_PLAN_CACHE_SIZE"), default=64)
         self.capture = _parse_flag(os.environ.get("AMANDA_CAPTURE"))
@@ -171,12 +167,8 @@ class Config:
         self.memory_budget = _parse_bytes(
             os.environ.get("AMANDA_MEMORY_BUDGET"), default=0)
 
-    def set_num_workers(self, workers: int | str) -> None:
-        self.num_workers = _parse_workers(workers)
-
     def __repr__(self) -> str:
-        return (f"Config(num_workers={self.num_workers}, "
-                f"plan_cache_size={self.plan_cache_size}, "
+        return (f"Config(plan_cache_size={self.plan_cache_size}, "
                 f"capture={self.capture}, "
                 f"serve_workers={self.serve_workers}, "
                 f"sample_rate={self.sample_rate}, "
@@ -191,13 +183,12 @@ config = Config()
 
 @contextmanager
 def num_workers(workers: int | str):
-    """Scope-override the executor worker count (``amanda.num_workers(4)``)."""
-    previous = config.num_workers
-    config.set_num_workers(workers)
-    try:
-        yield config
-    finally:
-        config.num_workers = previous
+    """Accept and ignore an executor worker count (``amanda.num_workers(4)``).
+
+    Kept so code written for the retired wavefront executor still runs; it
+    sets nothing, and every run uses the one serial executor.
+    """
+    yield config
 
 
 @contextmanager

@@ -49,11 +49,11 @@ class Tool:
     #: static effect declaration for the ``PyCall`` ops this tool inserts
     #: into graphs, consumed by the race analysis
     #: (:mod:`repro.analysis.effects`): ``None`` (undeclared — the PyCalls
-    #: are effect-opaque and force the serial executor), ``"pure"`` (the
-    #: instrumentation routines compute from their inputs only), or a
-    #: mapping with any of ``reads`` / ``writes`` (iterables of state keys),
-    #: ``rng`` / ``ordered`` (booleans).  Declared tools keep wavefront
-    #: parallelism; conflicting declarations are serialized pairwise.
+    #: are effect-opaque), ``"pure"`` (the instrumentation routines compute
+    #: from their inputs only), or a mapping with any of ``reads`` /
+    #: ``writes`` (iterables of state keys), ``rng`` / ``ordered``
+    #: (booleans).  The ``races`` lint reports tools whose declarations
+    #: conflict; undeclared PyCalls are reported as opaque.
     effects = None
 
     def __init__(self, name: str | None = None) -> None:

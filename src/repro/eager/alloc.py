@@ -31,10 +31,14 @@ class AllocationTracker:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._tls = threading.local()
+        #: bumped by every reset(); a release tagged with an older
+        #: generation frees bytes the current counters never charged
+        self.generation = 0
         self.reset()
 
     def reset(self) -> None:
         with self._lock:
+            self.generation += 1
             self.live = dict.fromkeys(self.SCOPES, 0)
             self.peak = dict.fromkeys(self.SCOPES, 0)
             self.total_allocated = dict.fromkeys(self.SCOPES, 0)
@@ -68,9 +72,17 @@ class AllocationTracker:
                 self.peak[scope] = self.live[scope]
         return scope
 
-    def release(self, nbytes: int, scope: str) -> None:
+    def release(self, nbytes: int, scope: str,
+                generation: int | None = None) -> None:
+        """Return ``nbytes`` to ``scope``.
+
+        Long-lived owners (eager tensors freed by the garbage collector)
+        pass the ``generation`` they allocated in, so a release that lands
+        after a ``reset()`` does not drive the new counters negative.
+        """
         with self._lock:
-            self.live[scope] -= nbytes
+            if generation is None or generation == self.generation:
+                self.live[scope] -= nbytes
 
     def snapshot(self) -> dict[str, dict[str, int]]:
         with self._lock:

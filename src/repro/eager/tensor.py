@@ -42,7 +42,8 @@ class Tensor:
         self._grad_hooks: list[Callable[[np.ndarray], np.ndarray | None]] = []
         scope = alloc.tracker.allocate(arr.nbytes)
         self._alloc_scope = scope
-        weakref.finalize(self, alloc.tracker.release, arr.nbytes, scope)
+        weakref.finalize(self, alloc.tracker.release, arr.nbytes, scope,
+                         alloc.tracker.generation)
 
     # -- basic introspection -------------------------------------------------
     @property

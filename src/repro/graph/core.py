@@ -25,7 +25,7 @@ import numpy as np
 
 __all__ = ["Graph", "GraphTensor", "Operation", "VariableStore",
            "default_graph", "get_default_graph", "GraphFinalizedError",
-           "SKIP_TYPES", "topo_plan", "plan_levels"]
+           "SKIP_TYPES", "topo_plan"]
 
 #: op types the instrumentation machinery never analyzes or re-instruments:
 #: ``PyCall`` nodes are themselves instrumentation artifacts and ``NoOp``
@@ -66,48 +66,6 @@ def topo_plan(roots: Iterable["Operation"]) -> list["Operation"]:
             if dep.name not in visited:
                 stack.append((dep, False))
     return plan
-
-
-def plan_levels(plan: list["Operation"],
-                extra_deps: dict | None = None) -> list[list["Operation"]]:
-    """Partition a topological plan into dependency *wavefronts*.
-
-    Level ``L`` holds every op whose longest dependency chain within the plan
-    has length ``L``; all ops in one level are mutually independent (no data
-    or control path connects them), so a parallel executor may run each level
-    concurrently with a barrier between levels.  Within a level, ops keep
-    their plan order, so the partition is deterministic.
-
-    ``extra_deps`` (op name -> iterable of predecessor op names) adds
-    serialization edges beyond the graph's own data/control edges — the race
-    analysis (:mod:`repro.analysis.effects`) uses it to barrier-separate
-    effect-conflicting op pairs without mutating the (finalized) graph.
-    Every extra predecessor must precede its op in ``plan``; a predecessor
-    that does not (a typo'd or stale serialization edge) raises
-    :class:`ValueError` — silently dropping it would silently drop the race
-    protection it encodes.
-    """
-    level: dict[str, int] = {}
-    levels: list[list[Operation]] = []
-    for op in plan:
-        depth = 0
-        for edge in op.inputs:
-            depth = max(depth, level[edge.op.name] + 1)
-        for dep in op.control_inputs:
-            depth = max(depth, level[dep.name] + 1)
-        if extra_deps:
-            for name in extra_deps.get(op.name, ()):
-                prior = level.get(name)
-                if prior is None:
-                    raise ValueError(
-                        f"extra_deps predecessor {name!r} of op "
-                        f"{op.name!r} does not precede it in the plan")
-                depth = max(depth, prior + 1)
-        level[op.name] = depth
-        if depth == len(levels):
-            levels.append([])
-        levels[depth].append(op)
-    return levels
 
 
 class GraphTensor:

@@ -1,10 +1,10 @@
 """Effect signatures and plan-level race detection.
 
-The effect system is what lets the wavefront executor parallelize plans with
-stateful ops: every builtin op type must have a registered signature
-(CI-enforced completeness, like the schema registry), and ``analyze_plan``
-must find exactly the unordered pairs that race on shared state — no more
-(lost parallelism) and no less (lost correctness).
+The effect system decides what the rematerialization pass may recompute and
+what the ``races`` lint reports: every builtin op type must have a
+registered signature (CI-enforced completeness, like the schema registry),
+and ``analyze_plan`` must find exactly the unordered pairs that race on
+shared state — no more (false lint findings) and no less (missed races).
 """
 
 import numpy as np
@@ -21,10 +21,9 @@ from repro.analysis.effects import (GRAPH_EFFECTS, OPAQUE, PURE,
                                     normalize_effects,
                                     stale_effect_signatures)
 from repro.analysis.lint import lint_contexts
-from repro.analysis.liveness import estimate_liveness
 from repro.analysis.schemas import GRAPH_SCHEMAS
 from repro.graph import builder as gb
-from repro.graph.core import plan_levels, topo_plan
+from repro.graph.core import topo_plan
 
 
 class TestRegistryCompleteness:
@@ -162,8 +161,7 @@ class TestAnalyzePlan:
         report = analyze_plan(plan)
         assert report.ok
         assert report.stateful_ops > 0
-        assert report.extra_edges == {}
-        assert report.serial_only_reason is None
+        assert report.conflicts == () and report.opaque_ops == ()
         assert "no conflicting pairs" in str(report)
 
     def test_write_write_pair_detected_with_edge(self):
@@ -179,11 +177,10 @@ class TestAnalyzePlan:
         conflict = report.conflicts[0]
         assert conflict.kind == "write-write"
         assert conflict.keys == ("v",)
-        # the edge points plan-earlier -> plan-later
+        # the pair is named in plan order: the order the executor runs it
         position = {op.name: i for i, op in enumerate(plan)}
         assert position[conflict.first] < position[conflict.second]
-        assert report.extra_edges == {conflict.second: (conflict.first,)}
-        assert not report.ok and report.serial_only_reason is None
+        assert not report.ok and report.opaque_ops == ()
 
     def test_read_write_pair_detected(self):
         """An unordered Variable-store reader races with a writer."""
@@ -233,47 +230,9 @@ class TestAnalyzePlan:
         report = analyze_plan(topo_plan([op]))
         assert not report.ok
         assert report.opaque_ops[0][0] == "mystery"
-        assert "PyCall" in report.serial_only_reason
-        assert "Tool.effects" in report.serial_only_reason
+        assert "PyCall" in report.opaque_ops[0][2]
+        assert "Tool.effects" in report.opaque_ops[0][2]
         assert "opaque" in str(report)
-
-
-class TestRaceAwareLevels:
-    def test_injected_edges_order_the_conflicting_pair(self):
-        with G.default_graph():
-            x = gb.placeholder(name="x")
-            v = gb.variable(np.zeros(4), name="v")
-            a = gb.assign_add(v, gb.relu(x), name="writer_a")
-            b = gb.assign_add(v, gb.tanh(x), name="writer_b")
-            step = gb.group([a, b], name="step")
-        plan = topo_plan([step])
-        plain = plan_levels(plan)
-        report = analyze_plan(plan)
-        leveled = plan_levels(plan, extra_deps=report.extra_edges)
-        level_of = {op.name: i for i, level in enumerate(leveled)
-                    for op in level}
-        plain_level_of = {op.name: i for i, level in enumerate(plain)
-                          for op in level}
-        conflict = report.conflicts[0]
-        # without edges the writers share a level; with them they are ordered
-        assert plain_level_of["writer_a"] == plain_level_of["writer_b"]
-        assert level_of[conflict.first] < level_of[conflict.second]
-        assert sum(len(level) for level in leveled) == len(plan)
-
-    def test_wavefront_liveness_respects_injected_edges(self):
-        with G.default_graph():
-            x = gb.placeholder(name="x")
-            v = gb.variable(np.zeros(4), name="v")
-            a = gb.assign_add(v, gb.relu(x), name="writer_a")
-            b = gb.assign_add(v, gb.tanh(x), name="writer_b")
-            out = gb.identity(gb.relu(x), name="out")
-            step = gb.group([a, b], name="step")
-        g = x.graph
-        report = estimate_liveness(g, fetches=[out, step.outputs[0]],
-                                   feed_shapes={"x": (4,)},
-                                   schedule_mode="wavefront")
-        assert set(report.schedule) >= {"writer_a", "writer_b", "out"}
-        assert report.peak_bytes >= 0
 
 
 class TestLintEffectConflict:
@@ -324,8 +283,8 @@ class TestDeclaredEffectsEndToEnd:
     def test_declared_pycalls_run_parallel_and_serialized(self, rng):
         """Two tools with racing declared effects on *independent branches*
         (insert-before wrappers on the same op would chain, i.e. already be
-        ordered) still run wavefronted — their PyCalls are the conflicting
-        pair, serialized in plan order."""
+        ordered): the instrumented plan's PyCalls are the one conflicting
+        pair, both callbacks run once, and the outputs stay vanilla."""
         hits = []
 
         def make(name, op_type):
@@ -344,11 +303,9 @@ class TestDeclaredEffectsEndToEnd:
         feed = {x: rng.standard_normal(4)}
         baseline = np.asarray(sess.run(y, feed))
 
-        with amanda.num_workers(4), amanda.apply(make("first", "Relu"),
-                                                 make("second", "Tanh")):
+        with amanda.apply(make("first", "Relu"), make("second", "Tanh")):
             got = np.asarray(sess.run(y, feed))
-        assert sess.last_run_parallel, sess.last_fallback_reason
-        report = sess.last_serialization_report
+        report = analyze_plan(sess.last_compiled.ops)
         assert len(report.conflicts) == 1
         assert report.conflicts[0].kind == "write-write"
         assert report.conflicts[0].keys == ("log",)

@@ -145,7 +145,8 @@ class TestCrossDriverEquivalence:
 
 # ---------------------------------------------------------------------------
 # capture matrix: {vanilla, observe-only, mutating, quarantined} tools
-# x workers {1, 4} — captured execution must stay bit-identical to eager
+# x workers {1, 4} — captured execution must stay bit-identical to eager;
+# the worker count only enters the retired num_workers scope, a no-op
 # ---------------------------------------------------------------------------
 
 _MATRIX_TOOLS = {
@@ -174,7 +175,7 @@ def _matrix_run(run, kind, workers):
 
 
 class TestCapturedMatrixEquivalence:
-    """Captured == eager, bitwise, across tools and worker counts."""
+    """Captured == eager, bitwise, across tools (and the inert knob)."""
 
     @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("kind", sorted(_MATRIX_TOOLS))

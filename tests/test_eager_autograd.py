@@ -1,5 +1,7 @@
 """Autograd engine: numeric grad checks per op, graph traversal, accumulation."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -134,6 +136,39 @@ class TestEngine:
         with no_grad():
             out = t * 2.0
         assert out.node is None and not out.requires_grad
+
+    def test_interleaved_no_grad_threads_keep_grad_on(self):
+        """Grad mode is per thread: two threads interleaving enter-A,
+        enter-B, exit-A, exit-B (as concurrent tool callbacks under
+        ``no_grad`` do) leave every thread's grad mode as it found it."""
+        from repro.eager.dispatch import grad_enabled
+        entered, crossed, exited = (threading.Barrier(2) for _ in range(3))
+        seen = {}
+
+        def first():
+            with no_grad():
+                entered.wait()
+                crossed.wait()
+            exited.wait()
+
+        def second():
+            entered.wait()
+            seen["before"] = grad_enabled()  # the other thread is in no_grad
+            with no_grad():
+                crossed.wait()
+                exited.wait()
+            seen["after"] = grad_enabled()
+
+        threads = [threading.Thread(target=first),
+                   threading.Thread(target=second)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert seen == {"before": True, "after": True}
+        assert grad_enabled()
+        t = E.tensor([1.0], requires_grad=True)
+        assert (t * 2.0).requires_grad
 
     def test_grad_helper_restores_state(self, rng):
         t = E.tensor(rng.standard_normal(3), requires_grad=True)

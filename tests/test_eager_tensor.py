@@ -116,6 +116,20 @@ class TestAllocation:
         gc.collect()
         assert alloc.tracker.live["dnn"] < before
 
+    def test_release_after_reset_is_not_charged(self):
+        """A tensor allocated before a reset and collected after it leaves
+        the new counters balanced instead of negative."""
+        import gc
+        t = E.tensor(np.zeros(1000))
+        alloc.tracker.reset()
+        del t
+        gc.collect()
+        assert alloc.tracker.live["dnn"] == 0
+        u = E.tensor(np.zeros(10))
+        del u
+        gc.collect()
+        assert alloc.tracker.live["dnn"] == 0
+
     def test_unknown_scope_rejected(self):
         with pytest.raises(ValueError):
             alloc.tracker.push_scope("gpu7")

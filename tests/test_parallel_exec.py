@@ -1,10 +1,15 @@
-"""Wavefront-parallel graph execution: equivalence, fallbacks, memory.
+"""The graph session's one executor: the retired worker-count knob, the
+plan cache, graph fingerprints and instrumented runs.
 
-The parallel executor must be invisible except for speed and memory: results,
-profiler attribution and fault semantics are bit-identical to the serial
-executor for every worker count, and anything not provably order-independent
-silently falls back to serial.
+The session runs every plan on one serial executor.  ``amanda.num_workers``
+and ``AMANDA_NUM_WORKERS`` survive only so older callers keep working: under
+either, a run produces bit-identical outputs and kernel-event streams and
+starts no thread.  Effect-conflicting op pairs run in plan order, which the
+race analysis reports as findings.
 """
+
+import contextlib
+import threading
 
 import numpy as np
 import pytest
@@ -14,11 +19,12 @@ import repro.eager as E
 import repro.graph as G
 import repro.models.eager as M
 import repro.models.graph as GM
-from repro.amanda.tools import ExecutionTraceTool, KernelProfilingTool
+from repro.amanda.tools import KernelProfilingTool
+from repro.analysis.effects import analyze_plan
 from repro.analysis.liveness import estimate_liveness
 from repro.eager import alloc
 from repro.graph import builder as gb
-from repro.graph.core import plan_levels, topo_plan
+from repro.graph.core import topo_plan
 from repro.graph.session import CompiledPlan
 from repro.kernels.runtime import runtime as kernel_runtime
 
@@ -30,8 +36,46 @@ def _run(sess, fetches, feed, workers):
         return sess.run(fetches, feed)
 
 
+def _observed_run(sess, fetches, feed):
+    """Outputs, kernel-event stream and thread set of one run."""
+    events = []
+    kernel_runtime.subscribe(events.append)
+    try:
+        threads_before = set(threading.enumerate())
+        outputs = sess.run(fetches, feed)
+        threads_after = set(threading.enumerate())
+    finally:
+        kernel_runtime.unsubscribe(events.append)
+    stream = [(e.name, e.correlation_tag, e.bytes_accessed, e.meta)
+              for e in events]
+    return outputs, stream, threads_after - threads_before
+
+
+def _assert_knob_is_inert(build, feed_of, fetches_of, monkeypatch):
+    """Under ``num_workers(4)`` and under ``AMANDA_NUM_WORKERS=4`` a fresh
+    model matches the default run bit for bit, emits the same kernel events
+    in the same order, and starts no thread."""
+    def observe(scope):
+        gm = build()  # a fresh model per run: no plan is shared
+        with gm.session() as sess, scope():
+            return _observed_run(sess, fetches_of(gm), feed_of(gm))
+
+    monkeypatch.delenv("AMANDA_NUM_WORKERS", raising=False)
+    want, want_stream, _ = observe(contextlib.nullcontext)
+    default = vars(amanda.Config())
+    monkeypatch.setenv("AMANDA_NUM_WORKERS", "4")
+    assert vars(amanda.Config()) == default
+    for scope in (contextlib.nullcontext, lambda: amanda.num_workers(4)):
+        got, stream, started = observe(scope)
+        for expected, actual in zip(want, got):
+            np.testing.assert_array_equal(np.asarray(expected),
+                                          np.asarray(actual))
+        assert stream == want_stream
+        assert not started
+
+
 class TestBitEquivalence:
-    """Serial and parallel runs produce bitwise-identical results."""
+    """The retired worker-count knob never changes a run."""
 
     @pytest.mark.parametrize("builder,input_shape", [
         (GM.build_mlp, (8, 16)),
@@ -41,31 +85,20 @@ class TestBitEquivalence:
         (GM.build_inception_v3, (2, 16, 16, 3)),
     ])
     def test_models_bitwise_equal_across_worker_counts(self, rng, builder,
-                                                       input_shape):
-        gm = builder()
-        sess = gm.session()
-        feed = {gm.inputs: rng.standard_normal(input_shape),
-                gm.labels: rng.integers(0, 4, input_shape[0])}
-        baseline = _run(sess, [gm.logits, gm.loss], feed, workers=1)
-        assert not sess.last_run_parallel
-        for workers in WORKER_COUNTS[1:]:
-            got = _run(sess, [gm.logits, gm.loss], feed, workers)
-            assert sess.last_run_parallel, sess.last_fallback_reason
-            for expected, actual in zip(baseline, got):
-                np.testing.assert_array_equal(np.asarray(expected),
-                                              np.asarray(actual))
+                                                       input_shape,
+                                                       monkeypatch):
+        x = rng.standard_normal(input_shape)
+        y = rng.integers(0, 4, input_shape[0])
+        _assert_knob_is_inert(
+            builder, lambda gm: {gm.inputs: x, gm.labels: y},
+            lambda gm: [gm.logits, gm.loss], monkeypatch)
 
-    def test_bert_bitwise_equal(self, rng):
-        gm = GM.build_bert()
-        sess = gm.session()
-        feed = {gm.inputs: rng.integers(0, 32, (2, 16)),
-                gm.labels: np.zeros((2, 16), dtype=int)}
-        baseline = _run(sess, gm.loss, feed, workers=1)
-        for workers in WORKER_COUNTS[1:]:
-            got = _run(sess, gm.loss, feed, workers)
-            assert sess.last_run_parallel, sess.last_fallback_reason
-            np.testing.assert_array_equal(np.asarray(baseline),
-                                          np.asarray(got))
+    def test_bert_bitwise_equal(self, rng, monkeypatch):
+        x = rng.integers(0, 32, (2, 16))
+        y = np.zeros((2, 16), dtype=int)
+        _assert_knob_is_inert(
+            GM.build_bert, lambda gm: {gm.inputs: x, gm.labels: y},
+            lambda gm: [gm.logits, gm.loss], monkeypatch)
 
     def test_eager_models_unaffected_by_knob(self, rng):
         """num_workers only touches the graph Session; eager stays eager."""
@@ -77,23 +110,6 @@ class TestBitEquivalence:
 
 
 class TestFallbackRules:
-    def test_training_fetches_run_wavefront_parallel(self, rng):
-        """Every optimizer writer data-depends on its Variable read, so the
-        race analysis finds zero conflicting pairs and training — the
-        headline case the old executor bailed out of — runs wavefronted."""
-        gm = GM.build_mlp(learning_rate=0.3)
-        sess = gm.session()
-        x = rng.standard_normal((16, 16))
-        y = rng.integers(0, 4, 16)
-        with amanda.num_workers(4):
-            loss, _ = sess.run([gm.loss, gm.train_op],
-                               {gm.inputs: x, gm.labels: y})
-        assert sess.last_run_parallel
-        report = sess.last_serialization_report
-        assert report.parallel and report.conflicts == ()
-        assert report.serialized_ops == {}
-        assert np.isfinite(loss)
-
     def test_training_trajectory_identical_under_knob(self, rng):
         """The knob never changes training numerics (race-directed order)."""
         x = rng.standard_normal((16, 16))
@@ -109,45 +125,9 @@ class TestFallbackRules:
 
         np.testing.assert_array_equal(losses(1), losses(4))
 
-    def test_ordered_kernel_subscriber_forces_serial(self, rng):
-        gm = GM.build_mlp(learning_rate=None)
-        sess = gm.session()
-        feed = {gm.inputs: rng.standard_normal((4, 16))}
-        seen = []
-        kernel_runtime.subscribe(seen.append, ordered=True)
-        try:
-            with amanda.num_workers(4):
-                sess.run(gm.logits, feed)
-            assert not sess.last_run_parallel
-            assert "in-order" in sess.last_fallback_reason
-            assert seen  # events were still delivered inline
-        finally:
-            kernel_runtime.unsubscribe(seen.append)
-
-    def test_untagged_pycall_forces_serial(self, rng):
-        with G.default_graph() as g:
-            x = gb.placeholder(name="x")
-            y = gb.py_call(lambda v: v * 2, [x]).outputs[0]
-        sess = G.Session(g)
-        with amanda.num_workers(4):
-            out = sess.run(y, {x: np.ones(3)})
-        assert not sess.last_run_parallel
-        assert "PyCall" in sess.last_fallback_reason
-        np.testing.assert_array_equal(np.asarray(out), 2 * np.ones(3))
-
-    def test_serial_when_workers_not_requested(self, rng):
-        gm = GM.build_mlp(learning_rate=None)
-        sess = gm.session()
-        # pin the precondition: AMANDA_NUM_WORKERS may request workers
-        with amanda.num_workers(1):
-            sess.run(gm.logits, {gm.inputs: rng.standard_normal((4, 16))})
-        assert not sess.last_run_parallel
-        assert sess.last_fallback_reason is None
-
-
 class TestRaceDirectedParallel:
-    """Plans with genuine conflicts still run wavefronted: only the
-    conflicting pair is serialized, bit-identical to serial execution."""
+    """Plans with genuine conflicts run the pair in plan order, whatever
+    the knob says, and the race analysis reports exactly that pair."""
 
     @staticmethod
     def _write_write_graph():
@@ -171,17 +151,16 @@ class TestRaceDirectedParallel:
             return sess, np.asarray(fetched), g.variables.read("v")
 
         sess, base_out, base_store = run(1)
-        assert not sess.last_run_parallel
         for workers in WORKER_COUNTS[1:]:
             sess, got_out, got_store = run(workers)
-            report = sess.last_serialization_report
-            assert sess.last_run_parallel, sess.last_fallback_reason
-            # exactly the one conflicting pair is serialized, nothing else
+            report = analyze_plan(sess.last_compiled.ops)
+            # exactly the one conflicting pair is reported, nothing else
             assert len(report.conflicts) == 1
             conflict = report.conflicts[0]
             assert conflict.kind == "write-write"
             assert conflict.keys == ("v",)
-            assert set(report.serialized_ops) == {"writer_a", "writer_b"}
+            assert {conflict.first, conflict.second} == {"writer_a",
+                                                         "writer_b"}
             np.testing.assert_array_equal(got_out, base_out)
             np.testing.assert_array_equal(got_store, base_store)
 
@@ -215,8 +194,7 @@ class TestRaceDirectedParallel:
         _, base_out, base_mean, base_var = run(1)
         for workers in WORKER_COUNTS[1:]:
             sess, got_out, got_mean, got_var = run(workers)
-            report = sess.last_serialization_report
-            assert sess.last_run_parallel, sess.last_fallback_reason
+            report = analyze_plan(sess.last_compiled.ops)
             assert len(report.conflicts) == 1
             assert report.conflicts[0].kind == "write-write"
             assert set(report.conflicts[0].keys) == {"shared_mean",
@@ -225,47 +203,17 @@ class TestRaceDirectedParallel:
             np.testing.assert_array_equal(got_mean, base_mean)
             np.testing.assert_array_equal(got_var, base_var)
 
-    def test_mutating_tool_graph_still_parallelizes(self, rng):
-        """A rewriting tool that declares pure effects (pruning computes the
-        replacement statically) no longer forces the serial executor."""
-        from repro.amanda.tools import MagnitudePruningTool
-        gm = GM.build_mlp(learning_rate=None, depth=3)
-        sess = gm.session()
-        feed = {gm.inputs: rng.standard_normal((4, 16))}
-
-        def run(workers):
-            tool = MagnitudePruningTool(sparsity=0.5)
-            with amanda.num_workers(workers), amanda.apply(tool):
-                return np.asarray(sess.run(gm.logits, feed))
-
-        baseline = run(1)
-        got = run(4)
-        assert sess.last_run_parallel, sess.last_fallback_reason
-        np.testing.assert_array_equal(got, baseline)
-
-
 class TestCompiledPlan:
-    def test_levels_partition_plan_and_respect_deps(self):
-        gm = GM.build_inception_v3()
-        plan = topo_plan([gm.logits.op])
-        levels = plan_levels(plan)
-        assert sum(len(level) for level in levels) == len(plan)
-        # inception's parallel branches make levels genuinely wide
-        assert max(len(level) for level in levels) >= 4
-        level_of = {op.name: i for i, level in enumerate(levels)
-                    for op in level}
-        for op in plan:
-            for edge in op.inputs:
-                assert level_of[edge.op.name] < level_of[op.name]
-
     def test_release_excludes_fetched_ops(self):
         gm = GM.build_mlp(learning_rate=None)
         plan = topo_plan([gm.logits.op])
         compiled = CompiledPlan(plan, (gm.logits.op.name,))
-        released = [name for level in compiled.release_after_level
-                    for name in level]
-        assert gm.logits.op.name not in released
-        assert compiled.parallel_safe
+        released = [compiled.ops[index].name
+                    for step in compiled.release_after_step
+                    for index in step]
+        # every other op is freed exactly once, the fetched one never
+        assert sorted(released) == sorted(
+            op.name for op in plan if op is not gm.logits.op)
 
     def test_plan_cache_prunes_stale_versions(self, rng):
         gm = GM.build_mlp(learning_rate=None)
@@ -320,51 +268,12 @@ class TestFingerprint:
 
 
 class TestMemoryRelease:
-    def test_parallel_peak_within_wavefront_estimate(self, rng):
-        gm = GM.build_mlp(learning_rate=None, depth=6, hidden=64)
-        sess = gm.session()
-        x = rng.standard_normal((32, 16))
-        feed = {gm.inputs: x}
-
-        alloc.tracker.reset()
-        baseline = _run(sess, gm.logits, feed, workers=1)
-        serial_peak = alloc.tracker.peak["dnn"]
-
-        alloc.tracker.reset()
-        got = _run(sess, gm.logits, feed, workers=4)
-        parallel_peak = alloc.tracker.peak["dnn"]
-        assert sess.last_run_parallel
-
-        np.testing.assert_array_equal(np.asarray(baseline), np.asarray(got))
-
-        def estimate(mode):
-            return estimate_liveness(gm.graph, fetches=[gm.logits],
-                                     feed_shapes={"input": x.shape},
-                                     exclude_types=(),
-                                     schedule_mode=mode).peak_bytes
-
-        # each executor frees at its own last uses, so its runtime peak
-        # stays under the static estimate of its schedule
-        assert serial_peak <= estimate("serial")
-        assert parallel_peak <= estimate("wavefront")
-
-    def test_wavefront_estimate_bounds_serial_estimate(self, rng):
-        gm = GM.build_inception_v3()
-        feeds = {"input": (2, 16, 16, 3), "labels": (2,)}
-        serial = estimate_liveness(gm.graph, fetches=[gm.loss],
-                                   feed_shapes=feeds, exclude_types=())
-        wavefront = estimate_liveness(gm.graph, fetches=[gm.loss],
-                                      feed_shapes=feeds, exclude_types=(),
-                                      schedule_mode="wavefront")
-        # level barriers can only delay frees relative to the serial sweep
-        assert wavefront.peak_bytes >= serial.peak_bytes
-        assert wavefront.schedule == serial.schedule
-
     def test_unknown_schedule_mode_rejected(self):
         gm = GM.build_mlp(learning_rate=None)
-        with pytest.raises(ValueError, match="schedule_mode"):
-            estimate_liveness(gm.graph, fetches=[gm.logits],
-                              schedule_mode="diagonal")
+        for mode in ("diagonal", "wavefront"):
+            with pytest.raises(ValueError, match="schedule_mode"):
+                estimate_liveness(gm.graph, fetches=[gm.logits],
+                                  schedule_mode=mode)
 
     def test_no_leaked_accounting_after_parallel_run(self, rng):
         gm = GM.build_mlp(learning_rate=None)
@@ -375,21 +284,6 @@ class TestMemoryRelease:
 
 
 class TestInstrumentedParallel:
-    def test_observe_only_tool_still_parallelizes(self, rng):
-        gm = GM.build_mlp(learning_rate=None, depth=3)
-        sess = gm.session()
-        feed = {gm.inputs: rng.standard_normal((4, 16))}
-        baseline = _run(sess, gm.logits, feed, workers=1)
-
-        tool = ExecutionTraceTool()
-        with amanda.num_workers(4), amanda.apply(tool):
-            got = sess.run(gm.logits, feed)
-        # the driver tags observe-only PyCalls parallel_safe, so the
-        # instrumented graph runs wavefronted
-        assert sess.last_run_parallel, sess.last_fallback_reason
-        np.testing.assert_array_equal(np.asarray(baseline), np.asarray(got))
-        assert tool.events  # every recorder fired
-
     def test_profiler_attribution_bit_identical(self, rng):
         gm = GM.build_mlp(learning_rate=None, depth=3)
         sess = gm.session()
@@ -399,7 +293,6 @@ class TestInstrumentedParallel:
             tool = KernelProfilingTool()
             with amanda.num_workers(workers), amanda.apply(tool):
                 sess.run(gm.logits, feed)
-            assert sess.last_run_parallel == (workers > 1)
             # durations are wall-clock; compare the deterministic parts:
             # aggregation structure, per-kernel event counts (in delivery
             # order) and byte totals
@@ -426,7 +319,7 @@ class TestInstrumentedParallel:
 
             @staticmethod
             def _boom(*arrays):
-                raise RuntimeError("boom from a worker thread")
+                raise RuntimeError("boom mid-run")
 
         gm = GM.build_mlp(learning_rate=None, depth=3)
         sess = gm.session()
@@ -436,7 +329,7 @@ class TestInstrumentedParallel:
         tool = BoomTool()
         with amanda.num_workers(4), amanda.error_policy("quarantine"), \
                 amanda.apply(tool) as mgr:
-            out1 = sess.run(gm.logits, feed)  # raises mid-run, on a worker
+            out1 = sess.run(gm.logits, feed)  # raises mid-run
             assert tool.name in mgr.quarantined
             out2 = sess.run(gm.logits, feed)  # recompiled without the tool
         np.testing.assert_array_equal(np.asarray(out1), np.asarray(baseline))
@@ -447,19 +340,25 @@ class TestInstrumentedParallel:
 class TestConfig:
     def test_env_parsing(self, monkeypatch):
         from repro.core.config import Config
+        monkeypatch.delenv("AMANDA_SERVE_WORKERS", raising=False)
+        default = vars(Config())
+        # AMANDA_NUM_WORKERS is ignored: no knob reads it
         monkeypatch.setenv("AMANDA_NUM_WORKERS", "8")
-        assert Config().num_workers == 8
-        monkeypatch.setenv("AMANDA_NUM_WORKERS", "not-a-number")
-        assert Config().num_workers == 1
-        monkeypatch.setenv("AMANDA_NUM_WORKERS", "-3")
-        assert Config().num_workers == 1
-        monkeypatch.setenv("AMANDA_NUM_WORKERS", "auto")
-        assert Config().num_workers >= 1
-        monkeypatch.delenv("AMANDA_NUM_WORKERS")
-        assert Config().num_workers == 1
+        assert vars(Config()) == default
+        assert not hasattr(Config(), "num_workers")
+        # the serving worker count parses like the old executor knob did
+        monkeypatch.setenv("AMANDA_SERVE_WORKERS", "8")
+        assert Config().serve_workers == 8
+        monkeypatch.setenv("AMANDA_SERVE_WORKERS", "not-a-number")
+        assert Config().serve_workers == 2
+        monkeypatch.setenv("AMANDA_SERVE_WORKERS", "-3")
+        assert Config().serve_workers == 1
+        monkeypatch.setenv("AMANDA_SERVE_WORKERS", "auto")
+        assert Config().serve_workers >= 1
 
     def test_scoped_override_restores(self):
-        before = amanda.config.num_workers
-        with amanda.num_workers(6):
-            assert amanda.config.num_workers == 6
-        assert amanda.config.num_workers == before
+        before = dict(vars(amanda.config))
+        with amanda.num_workers(6) as cfg:
+            assert cfg is amanda.config
+            assert vars(amanda.config) == before
+        assert vars(amanda.config) == before
